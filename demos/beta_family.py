@@ -1,10 +1,10 @@
 """Walkthrough for the pure-jump family with Gamma-ratio exponent.
 
-No closed form exists for the depth-sum law here, so the threshold comes
-from adaptive quadrature of the scale-function identity.  At beta = 2 the
-family collapses to a drifting Brownian motion, which gives an exact
-cross-check of the numeric route; at beta = 1.5 everything is genuinely
-numerical and the simulation runs on a compound-jump approximation.
+The depth-sum law H is a Gauss hypergeometric function here, so the
+threshold is one root solve on a closed form.  At beta = 2 the family
+collapses to a drifting Brownian motion, which gives an exact cross-check
+of the 2F1 route; at beta = 1.5 the simulation runs on a compound-jump
+approximation.
 
     python3 demos/beta_family.py
 """
@@ -22,14 +22,14 @@ from lastzero import (
 
 
 def main():
-    # beta = 2: numeric convolution vs the equivalent diffusion
+    # beta = 2: the 2F1 form of H vs the equivalent diffusion
     family = BetaFamily(2.0)
     equiv = family.brownian_equivalent()
     _, rule_num = solve(family)
     _, rule_ref = solve(equiv)
     print("beta = 2 against its equivalent diffusion:")
-    print(f"  numeric-table a*  : {rule_num.a_star:.10f}")
-    print(f"  closed-form a*    : {rule_ref.a_star:.10f}")
+    print(f"  2F1 (beta) a*     : {rule_num.a_star:.10f}")
+    print(f"  Brownian a*       : {rule_ref.a_star:.10f}")
     print(f"  difference        : {abs(rule_num.a_star - rule_ref.a_star):.2e}")
     print(f"  x0 = ln 2         : {rule_num.x0:.10f} vs {math.log(2.0):.10f}")
     print()

@@ -11,7 +11,7 @@ classical risk process, and a heavy-tailed one-parameter family), and
 checks them against exact path simulation.
 """
 
-from .convolution import ConvolutionTable, HMethod, build_table, conv_cdf
+from .convolution import ConvolutionTable, build_table, conv_cdf
 from .mc import (
     McConfig,
     McReport,
@@ -61,7 +61,6 @@ __all__ = [
     "BrownianDrift",
     "ConvolutionTable",
     "CramerLundberg",
-    "HMethod",
     "LevyModel",
     "McConfig",
     "McReport",

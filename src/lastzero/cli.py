@@ -61,6 +61,9 @@ _MODEL_FIELDS = {
 }
 
 
+_MAX_CURVE_ROWS = 10**6
+
+
 def _fmt(x) -> str:
     return format(float(x), ".12g")
 
@@ -139,11 +142,7 @@ def _cmd_solve(args) -> int:
         "h_at_a_star": (
             conv_cdf(ev, rule.a_star) if rule.regime is Regime.SMOOTH_FIT else None
         ),
-        "solver": {
-            "root_tol": args.tol,
-            "h_method": rule.table.method.value if rule.table else None,
-            "table_points": int(rule.table.grid.size) if rule.table else None,
-        },
+        "solver": {"root_tol": args.tol},
     }
     if args.format == "json":
         _emit(_json_text(report), args.out)
@@ -179,14 +178,15 @@ def _cmd_curve(args) -> int:
         thresholds = seen
     else:
         thresholds = [0.0]
-    if rule.table is not None and max(thresholds) > rule.table.grid[-1] - 1e-9:
-        ev, rule = solve(model, tol=args.tol, x_max=max(thresholds) + 1.0)
     xmin = args.xmin if args.xmin is not None else -1.0
     xmax = args.xmax if args.xmax is not None else max(3.0 * rule.a_star, 2.0)
     step = args.step
     if not (step > 0 and xmax > xmin):
         raise ValueError("need step > 0 and xmax > xmin")
-    n = int(round((xmax - xmin) / step)) + 1
+    n_steps = (xmax - xmin) / step
+    if not n_steps < _MAX_CURVE_ROWS:
+        raise ValueError(f"grid would exceed {_MAX_CURVE_ROWS} rows; raise --step")
+    n = int(round(n_steps)) + 1
     xs = xmin + step * np.arange(n)
     curve = build_value_curve(ev, rule.table, xs, thresholds)
     labels = [f"V[a={_fmt(a)}]" for a in curve.thresholds]
@@ -360,7 +360,7 @@ def _cmd_verify(args) -> int:
         add("atom_forces_zero_threshold", float(prof.f0**2 >= 0.5), 1.0, 0.0)
         add("kink_slope", V_prime_at(ev, rule, -1e-12), 1.0 / p1, 1e-9)
     xs = np.linspace(-2.0, max(rule.a_star, 1.0), 101)
-    vmax = max(V_at(ev, rule, float(x)) for x in xs)
+    vmax = float(np.max(V_at(ev, rule, xs)))
     add("value_max_nonpositive", vmax, 0.0, 1e-12)
 
     cfg = McConfig(n_paths=args.paths, base_seed=args.seed)
@@ -432,13 +432,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("solve", help="solve for the optimal threshold")
     _add_model_args(sp)
-    sp.add_argument("--tol", type=float, default=1e-10, help="root tolerance for a*")
+    sp.add_argument("--tol", type=float, default=1e-10, help="root tolerance for a*, relative")
     _add_io_args(sp, "json")
     sp.set_defaults(func=_cmd_solve)
 
     sp = sub.add_parser("curve", help="tabulate F, G, H and value functions")
     _add_model_args(sp)
-    sp.add_argument("--tol", type=float, default=1e-10)
+    sp.add_argument("--tol", type=float, default=1e-10, help="root tolerance for a*, relative")
     sp.add_argument("--a", action="append", type=float, help="threshold (repeatable); default 0.5/1.0/1.5 times a*")
     sp.add_argument("--xmin", type=float, help="grid start (default -1)")
     sp.add_argument("--xmax", type=float, help="grid end (default max(3 a*, 2))")

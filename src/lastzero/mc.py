@@ -72,6 +72,10 @@ BETA_JUMP_CUTOFF = 1e-2  # |y| below this is folded into the Gaussian proxy
 INFIMUM_STEP = 0.02  # default bridge step for Brownian infimum sampling
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class McConfig:
     """Simulation budget and numerical knobs.
@@ -88,9 +92,9 @@ class McConfig:
     tail_eps: float = 1e-3
 
     def __post_init__(self):
-        if not (isinstance(self.n_paths, int) and self.n_paths >= 1):
+        if not (_is_int(self.n_paths) and self.n_paths >= 1):
             raise ValueError(f"n_paths must be a positive int, got {self.n_paths!r}")
-        if not (isinstance(self.base_seed, int) and self.base_seed >= 0):
+        if not (_is_int(self.base_seed) and self.base_seed >= 0):
             raise ValueError(f"base_seed must be a nonnegative int, got {self.base_seed!r}")
         if not (np.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be positive, got {self.dt!r}")
@@ -588,8 +592,10 @@ def _mean_report(quantity, vals, cfg, **tags) -> McReport:
     vals = np.asarray(vals, float)
     if not np.all(np.isfinite(vals)):
         raise ArithmeticError(f"non-finite samples in {quantity} estimate")
+    if vals.size < 2:
+        raise ValueError(f"{quantity} needs at least 2 paths for a standard error")
     est = float(vals.mean())
-    se = float(vals.std(ddof=1) / math.sqrt(vals.size)) if vals.size > 1 else 0.0
+    se = float(vals.std(ddof=1) / math.sqrt(vals.size))
     return McReport(
         quantity=quantity,
         estimate=est,

@@ -40,6 +40,9 @@ __all__ = [
 ]
 
 _PHI_MAX_ITER = 200
+# B_2k / (2k (2k - 1)), k = 1..4: the Stirling series of lgamma
+_STIRLING = (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0)
+_STIRLING_FROM = 20.0
 
 
 class Variation(enum.Enum):
@@ -93,26 +96,24 @@ class LevyModel(ABC):
     def phi(self, q: float, tol: float = 1e-12) -> float:
         """Right inverse of psi: the largest root of psi(theta) = q.
 
-        psi is strictly increasing and convex on [0, inf) for every model
-        here (psi'(0+) > 0), so the root is unique.  Solved by bracket
-        doubling followed by Newton steps safeguarded with bisection; the
-        returned value satisfies |psi(phi(q)) - q| <= tol.
+        psi is strictly increasing and convex on [0, inf) with psi(0) = 0
+        and psi'(0+) > 0 for every model here, so the root is unique and
+        psi(theta) >= psi'(0+) theta brackets it in [0, q/psi'(0+)].
+        Solved by Newton steps safeguarded with bisection; the returned
+        value satisfies |psi(phi(q)) - q| <= tol * max(1, q).
         """
         if not np.isfinite(q) or q < 0:
             raise ValueError(f"phi requires q >= 0, got {q!r}")
         if q == 0.0:
             return 0.0
-        lo, hi = 0.0, 1.0
-        for _ in range(_PHI_MAX_ITER):
-            if self.psi(hi) >= q:
-                break
-            lo, hi = hi, 2.0 * hi
-        else:
-            raise ArithmeticError(f"failed to bracket phi({q})")
+        lo, hi = 0.0, q / self.psi_derivatives()[0]
+        if not math.isfinite(hi):
+            raise ArithmeticError(f"phi({q}): upper bracket q/psi'(0+) overflows")
+        res_tol = tol * max(1.0, q)
         x = 0.5 * (lo + hi)
         for _ in range(_PHI_MAX_ITER):
             res = self.psi(x) - q
-            if abs(res) <= tol:
+            if abs(res) <= res_tol:
                 return float(x)
             if res > 0.0:
                 hi = x
@@ -125,7 +126,7 @@ class LevyModel(ABC):
                 if lo < newton < hi:
                     x_new = newton
             x = x_new
-        raise ArithmeticError(f"phi({q}) did not converge to residual {tol}")
+        raise ArithmeticError(f"phi({q}) did not converge to residual {res_tol}")
 
     def phi_derivs0(self) -> tuple[float, float]:
         """(phi'(0+), phi''(0+)) from the derivatives of psi at 0+.
@@ -204,7 +205,7 @@ class CramerLundberg(LevyModel):
 
     def psi_prime(self, theta):
         theta = np.asarray(theta, float)
-        out = self.mu - self.lam * self.rho / (self.rho + theta) ** 2
+        out = self.mu - (self.lam / self.rho) * (self.rho / (self.rho + theta)) ** 2
         return out if out.ndim else float(out)
 
     def psi_derivatives(self):
@@ -230,7 +231,9 @@ class BetaFamily(LevyModel):
 
     The Gamma-ratio is evaluated as theta * exp(L(theta)) with
     L(theta) = lgamma(theta+beta) - lgamma(theta+1) - lgamma(beta),
-    which is finite at theta = 0 and stable for large theta.
+    which is finite at theta = 0.  For theta + 1 >= 20 the lgamma
+    difference is summed as its Stirling series: the direct difference of
+    two values of size theta log theta loses about log10(theta) digits.
     """
 
     beta: float
@@ -241,11 +244,14 @@ class BetaFamily(LevyModel):
             raise ValueError(f"BetaFamily requires beta in (1, 2], got {self.beta!r}")
 
     def _log_ratio(self, theta):
-        return (
-            special.gammaln(theta + self.beta)
-            - special.gammaln(theta + 1.0)
-            - special.gammaln(self.beta)
-        )
+        z, a = theta + 1.0, self.beta - 1.0
+        # lgamma(z + a) - lgamma(z); truncation error below 1e-15 at z = 20
+        zs = np.maximum(z, _STIRLING_FROM)
+        shift = (zs - 0.5) * np.log1p(a / zs) + a * np.log(zs + a) - a
+        for k, c in enumerate(_STIRLING, start=1):
+            shift += c * ((zs + a) ** (1 - 2 * k) - zs ** (1 - 2 * k))
+        direct = special.gammaln(z + a) - special.gammaln(z)
+        return np.where(z >= _STIRLING_FROM, shift, direct) - special.gammaln(self.beta)
 
     def psi(self, theta):
         theta = np.asarray(theta, float)

@@ -12,7 +12,9 @@ a (relative to the best possible mean error) is, for x <= a,
 
     V_a(x) = (2/p) * int_max(x,0)^a H(y) dy - (a - max(x,0))/p + min(x,0)/p,
 
-and V_a(x) = 0 for x >= a.  V = V_{a*} is nonpositive, nondecreasing, and
+and V_a(x) = 0 for x >= a.  H is in closed form for every family (see
+``convolution``), so a* is one bracketed root solve and V_a needs only
+the running integral of H.  V = V_{a*} is nonpositive, nondecreasing, and
 flat at 0 beyond a*.  Two regimes exist:
 
 * smooth fit (V'(a*-) = 0): always when paths have infinite variation,
@@ -29,19 +31,14 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize
 
-from .convolution import (
-    DEFAULT_QUAD_TOL,
-    ConvolutionTable,
-    build_table,
-    conv_cdf,
-    exp_mixture_params,
-)
-from .models import BetaFamily, BrownianDrift, LevyModel, Variation
+from .convolution import ConvolutionTable, build_table, conv_cdf
+from .models import BrownianDrift, LevyModel, Variation
 from .scale import ScaleEvaluator
 
 __all__ = [
@@ -69,140 +66,69 @@ class Regime(enum.Enum):
 
 @dataclass(frozen=True)
 class OptimalRule:
-    """Solved stopping rule: threshold, regime, and supporting data.
-
-    ``table`` is None exactly in the continuous-fit regime (a* = 0), where
-    the value function is linear and needs no tabulated H.
-    """
+    """Solved stopping rule: threshold, regime, and the H of the model."""
 
     a_star: float
     x0: float
     regime: Regime
     expected_g0: float
-    table: ConvolutionTable | None
+    table: ConvolutionTable
 
 
-def solve_a_star(
-    ev: ScaleEvaluator,
-    table: ConvolutionTable | None = None,
-    tol: float = DEFAULT_ROOT_TOL,
-) -> OptimalRule:
+def solve_a_star(ev: ScaleEvaluator, tol: float = DEFAULT_ROOT_TOL) -> OptimalRule:
     """Locate the optimal threshold as the median of H.
 
-    In the smooth-fit regime the root of H = 1/2 is bracketed from the
-    table and refined with a safeguarded bracketing solver evaluated on H
-    directly (closed form or quadrature, not the interpolant), to an
-    interval of width <= tol.
+    In the smooth-fit regime H(0) = F(0)^2 < 1/2, and H(x) >= F(x/2)^2
+    (both depths at most x/2), so [0, 2 F^{-1}(2^{-1/2})] brackets the
+    root of H = 1/2.  One bracketing solve on the closed-form H finds it
+    to within tol times the bracket, so a* has the same relative precision
+    at every scale.
     """
     prof = ev.profile
     eg0 = prof.psi_double_prime0 / prof.psi_prime0**2
+    table = build_table(ev)
     if prof.variation is Variation.FINITE and prof.f0**2 >= 0.5:
-        return OptimalRule(
-            a_star=0.0,
-            x0=ev.x0(),
-            regime=Regime.CONTINUOUS_FIT_ONLY,
-            expected_g0=eg0,
-            table=table,
-        )
-    if table is None:
-        table = build_table(ev)
-    if table.values[-1] <= 0.5:
-        raise ArithmeticError(
-            f"H({table.grid[-1]:g}) = {table.values[-1]:.6f} <= 1/2: "
-            "table too short to bracket the median"
-        )
-
-    def h_direct(x):
-        return conv_cdf(ev, x, table.quad_tol) - 0.5
-
-    idx = int(np.searchsorted(table.values, 0.5, side="left"))
-    lo = float(table.grid[max(idx - 1, 0)])
-    hi = float(table.grid[min(idx, table.grid.size - 1)])
-    cell = float(table.grid[1] - table.grid[0])
-    # the interpolated bracket can be off by a cell relative to direct H
-    while lo > 0.0 and h_direct(lo) > 0.0:
-        lo = max(0.0, lo - cell)
-    while h_direct(hi) < 0.0:
-        hi = hi + cell
-        if hi > table.grid[-1] + 1.0:
-            raise ArithmeticError("failed to bracket the median of H")
-    a = optimize.brentq(h_direct, lo, hi, xtol=tol, rtol=8.9e-16)
+        a, regime = 0.0, Regime.CONTINUOUS_FIT_ONLY
+    else:
+        hi = 2.0 * ev.inf_cdf_quantile(2.0**-0.5)
+        if hi < sys.float_info.min:
+            # Beta family with beta - 1 below about 5e-4
+            raise ArithmeticError(f"a* <= {hi:g} underflows double precision")
+        a = optimize.brentq(lambda x: conv_cdf(ev, x) - 0.5, 0.0, hi, xtol=tol * hi)
+        regime = Regime.SMOOTH_FIT
     return OptimalRule(
-        a_star=float(a),
-        x0=ev.x0(),
-        regime=Regime.SMOOTH_FIT,
-        expected_g0=eg0,
-        table=table,
+        a_star=float(a), x0=ev.x0(), regime=regime, expected_g0=eg0, table=table
     )
 
 
-def solve(
-    model: LevyModel,
-    tol: float = DEFAULT_ROOT_TOL,
-    quad_tol: float = DEFAULT_QUAD_TOL,
-    x_max: float | None = None,
-    n_points: int | None = None,
-) -> tuple[ScaleEvaluator, OptimalRule]:
-    """One-call convenience: evaluator, H table (when needed), solved rule."""
+def solve(model: LevyModel, tol: float = DEFAULT_ROOT_TOL) -> tuple[ScaleEvaluator, OptimalRule]:
+    """One-call convenience: evaluator and solved rule."""
     ev = ScaleEvaluator(model)
-    prof = ev.profile
-    if prof.variation is Variation.FINITE and prof.f0**2 >= 0.5:
-        return ev, solve_a_star(ev, table=None, tol=tol)
-    table = build_table(ev, x_max=x_max, n_points=n_points, quad_tol=quad_tol)
-    return ev, solve_a_star(ev, table=table, tol=tol)
+    return ev, solve_a_star(ev, tol=tol)
 
 
-def _int_h(ev: ScaleEvaluator, table: ConvolutionTable | None, lo: float, hi: float) -> float:
-    """integral_lo^hi H(y) dy for 0 <= lo <= hi.
+def V_a_at(ev: ScaleEvaluator, table: ConvolutionTable, a: float, x):
+    """Value of the first-passage rule with threshold a, started at x.
 
-    Exponential-mixture families use the closed antiderivative of H; the
-    Beta family integrates the tabulated interpolant exactly.
+    Accepts a scalar or an array of start points.
     """
-    try:
-        r, k = exp_mixture_params(ev)
-    except ValueError:
-        if table is None:
-            raise ValueError("a convolution table is required to integrate H here")
-        return table.cum_integral(hi) - table.cum_integral(lo)
-
-    def anti(y):
-        e = math.exp(-k * y)
-        return (
-            (1.0 - r) ** 2 * y
-            + 2.0 * r * (1.0 - r) * (y - (1.0 - e) / k)
-            + r**2 * (y + y * e + (2.0 / k) * (e - 1.0))
-        )
-
-    return anti(hi) - anti(lo)
-
-
-def V_a_at(
-    ev: ScaleEvaluator,
-    table: ConvolutionTable | None,
-    a: float,
-    x: float,
-) -> float:
-    """Value of the first-passage rule with threshold a, started at x."""
     if not (np.isfinite(a) and a >= 0.0):
         raise ValueError(f"threshold must be finite and >= 0, got {a!r}")
-    if x >= a:
-        return 0.0
+    xa = np.asarray(x, float)
     p = ev.profile.psi_prime0
-    base = max(x, 0.0)
-    val = (2.0 / p) * _int_h(ev, table, base, a) - (a - base) / p
-    if x < 0.0:
-        val += x / p
-    return val
+    base = np.clip(xa, 0.0, a)
+    int_h = table.cum_integral(a) - table.cum_integral(base)
+    val = (2.0 / p) * int_h - (a - base) / p + np.minimum(xa, 0.0) / p
+    out = np.where(xa >= a, 0.0, val)
+    return float(out) if np.ndim(x) == 0 else out
 
 
-def V_at(ev: ScaleEvaluator, rule: OptimalRule, x: float) -> float:
-    """Optimal value V(x) = V_{a*}(x).
+def V_at(ev: ScaleEvaluator, rule: OptimalRule, x):
+    """Optimal value V(x) = V_{a*}(x), for a scalar or an array x.
 
-    In the continuous-fit regime this is exactly x/psi'(0+) below zero and
-    0 above, with no quadrature involved.
+    In the continuous-fit regime a* = 0, so this is exactly x/psi'(0+)
+    below zero and 0 above.
     """
-    if rule.regime is Regime.CONTINUOUS_FIT_ONLY:
-        return min(x, 0.0) / ev.profile.psi_prime0
     return V_a_at(ev, rule.table, rule.a_star, x)
 
 
@@ -218,8 +144,7 @@ def V_prime_at(ev: ScaleEvaluator, rule: OptimalRule, x: float) -> float:
         if rule.regime is Regime.SMOOTH_FIT:
             return 0.0
         raise ValueError("V has a kink at the threshold in this regime")
-    quad_tol = rule.table.quad_tol if rule.table is not None else DEFAULT_QUAD_TOL
-    h = conv_cdf(ev, x, quad_tol) if x > 0.0 else 0.0
+    h = rule.table(x) if x > 0.0 else 0.0
     return (1.0 - 2.0 * h) / ev.profile.psi_prime0
 
 
@@ -283,25 +208,20 @@ class ValueCurve:
 
 def build_value_curve(
     ev: ScaleEvaluator,
-    table: ConvolutionTable | None,
+    table: ConvolutionTable,
     xs,
     thresholds,
 ) -> ValueCurve:
     xs = np.asarray(xs, float)
     thresholds = tuple(float(a) for a in thresholds)
-    conv = (
-        np.asarray([conv_cdf(ev, float(x)) if x > 0 else 0.0 for x in xs])
-        if table is None
-        else table(xs)
-    )
     values = np.empty((len(thresholds), xs.size))
     for i, a in enumerate(thresholds):
-        values[i] = [V_a_at(ev, table, a, float(x)) for x in xs]
+        values[i] = V_a_at(ev, table, a, xs)
     return ValueCurve(
         x=xs,
         inf_cdf=np.asarray(ev.inf_cdf(xs)),
         gain=np.asarray(ev.gain(xs)),
-        conv=conv,
+        conv=np.asarray(table(xs)),
         thresholds=thresholds,
         values=values,
     )

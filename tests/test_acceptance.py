@@ -208,11 +208,12 @@ def test_criterion_08_infimum_law_and_laplace_transform():
 def test_criterion_09_pure_jump_family():
     ev, rule = solve(BetaFamily(2.0))
     assert rule.x0 == pytest.approx(math.log(2.0), abs=1e-10)
-    table = rule.table
-    assert np.all(np.diff(table.values) >= 0.0)
+    grid = np.linspace(0.0, 2.0 * ev.inf_cdf_quantile(0.995) + 1.0, 2001)
+    h_grid = rule.table(grid)
+    assert np.all(np.diff(h_grid) >= 0.0)
     # a depth sum can never be smaller than a single depth
-    f_grid = np.asarray(ev.inf_cdf(table.grid))
-    assert np.all(table.values <= f_grid + 1e-9)
+    f_grid = np.asarray(ev.inf_cdf(grid))
+    assert np.all(h_grid <= f_grid + 1e-9)
     assert rule.a_star >= rule.x0
     assert rule.regime is Regime.SMOOTH_FIT
     assert abs(V_prime_at(ev, rule, rule.a_star - 1e-9)) <= 1e-6

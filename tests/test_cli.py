@@ -1,10 +1,15 @@
 """Command line interface: formats, exit codes, determinism."""
 
 import json
+import math
 
 import pytest
+from scipy import integrate
 
 from lastzero.cli import main
+from lastzero.convolution import conv_analytic
+from lastzero.models import BetaFamily
+from lastzero.scale import ScaleEvaluator
 
 
 def run(capsys, *argv):
@@ -30,7 +35,7 @@ def test_solve_json_brownian(capsys):
     assert rep["vstar_at_zero"] == pytest.approx(
         rep["value_at_zero"] + rep["expected_g"], abs=1e-12
     )
-    assert rep["solver"]["h_method"] == "analytic-bm"
+    assert rep["solver"] == {"root_tol": 1e-10}
     assert rep["expected_tau_a_star"] == pytest.approx(rep["a_star"], abs=1e-12)
 
 
@@ -53,7 +58,6 @@ def test_solve_continuous_fit_report(capsys):
     assert rep["a_star"] == 0.0
     assert rep["regime"] == "continuous-fit-only"
     assert rep["h_at_a_star"] is None
-    assert rep["solver"]["table_points"] is None
     assert rep["f0"] == pytest.approx(0.75)
     assert rep["psi_prime0"] == pytest.approx(3.0)
     assert rep["expected_g"] == pytest.approx(2.0 / 9.0)
@@ -65,7 +69,8 @@ def test_solve_beta_family(capsys):
     assert rc == 0
     rep = json.loads(out)
     assert rep["a_star"] == pytest.approx(0.8694492629410581, abs=1e-8)
-    assert rep["solver"]["h_method"] == "numeric-quadrature"
+    assert rep["h_at_a_star"] == pytest.approx(0.5, abs=1e-9)
+    assert rep["solver"] == {"root_tol": 1e-10}
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):
@@ -147,20 +152,45 @@ def test_curve_json_custom_thresholds(capsys):
     assert all(b >= a - 1e-12 for a, b in zip(conv, conv[1:]))
 
 
-def test_curve_threshold_beyond_table_rebuilds(capsys):
+def test_curve_threshold_far_beyond_a_star(capsys):
+    # V_9(x) = 2 int_x^9 H - (9 - x) for BM(1, 1), where int_0^y H = y - 1 + (1 + y) e^{-2y}
     rc, out = run(
         capsys,
         "curve", "--model", "bm", "--format", "json",
         "--a", "9.0", "--xmax", "2.0", "--step", "0.5",
     )
     assert rc == 0
-    assert json.loads(out)["thresholds"] == [9.0]
+    rep = json.loads(out)
+    assert rep["thresholds"] == [9.0]
+
+    def int_h(y):
+        return y - 1.0 + (1.0 + y) * math.exp(-2.0 * y)
+
+    for x, v in zip(rep["x"], rep["values"]["V[a=9]"]):
+        base = max(x, 0.0)
+        want = 2.0 * (int_h(9.0) - int_h(base)) - (9.0 - base) + min(x, 0.0)
+        assert v == pytest.approx(want, abs=1e-12)
+    rc, out = run(
+        capsys,
+        "curve", "--model", "beta", "--beta", "1.5", "--format", "json",
+        "--a", "9.0", "--xmax", "2.0", "--step", "0.5",
+    )
+    assert rc == 0
+    rep = json.loads(out)
+    ev = ScaleEvaluator(BetaFamily(1.5))
+    for x, v in zip(rep["x"], rep["values"]["V[a=9]"]):
+        base = max(x, 0.0)
+        int_h, _ = integrate.quad(lambda y: conv_analytic(ev, y), base, 9.0, epsabs=1e-13)
+        assert v == pytest.approx(2.0 * int_h - (9.0 - base) + min(x, 0.0), abs=1e-9)
 
 
 def test_curve_bad_grid_exits_2(capsys):
     rc, _ = run(capsys, "curve", "--model", "bm", "--step", "0")
     assert rc == 2
     rc, _ = run(capsys, "curve", "--model", "bm", "--a", "-1")
+    assert rc == 2
+    # a grid beyond the row cap is refused before anything is allocated
+    rc, _ = run(capsys, "curve", "--model", "bm", "--step", "1e-9")
     assert rc == 2
 
 

@@ -1,12 +1,10 @@
-"""Convolution square of the infimum law: closed forms, quadrature, tables."""
+"""Convolution square of the infimum law: closed forms against quadrature."""
 
 import numpy as np
 import pytest
 from scipy import integrate, special
 
 from lastzero.convolution import (
-    ConvolutionTable,
-    HMethod,
     build_table,
     conv_analytic,
     conv_cdf,
@@ -33,6 +31,13 @@ def test_analytic_matches_quadrature():
             assert conv_numeric(ev, float(x)) == pytest.approx(
                 conv_analytic(ev, float(x)), abs=1e-8
             )
+    # the 2F1 closed form of the Beta family against the quadrature route
+    for beta in (1.01, 1.05, 1.5, 1.999, 2.0):
+        ev = ScaleEvaluator(BetaFamily(beta))
+        for x in np.linspace(0.0, 40.0, 17):
+            assert conv_numeric(ev, float(x)) == pytest.approx(
+                conv_analytic(ev, float(x)), abs=1e-9
+            )
 
 
 def test_atom_mass_at_zero():
@@ -52,6 +57,9 @@ def test_beta_two_is_gamma_cdf():
     for x in np.linspace(0.0, 9.0, 19):
         assert conv_numeric(ev, float(x)) == pytest.approx(
             float(special.gammainc(2.0, x)), abs=1e-8
+        )
+        assert conv_analytic(ev, float(x)) == pytest.approx(
+            float(special.gammainc(2.0, x)), abs=1e-15
         )
 
 
@@ -78,92 +86,75 @@ def test_conv_cdf_negative_and_saturation():
 
 def test_conv_cdf_monotone():
     xs = np.linspace(0.0, 10.0, 80)
-    for m in (BrownianDrift(1.0, 1.0), CramerLundberg(2.0, 1.0, 1.0), BetaFamily(1.5)):
+    for m in (BrownianDrift(1.0, 1.0), CramerLundberg(2.0, 1.0, 1.0), BetaFamily(1.01),
+              BetaFamily(1.5), BetaFamily(2.0)):
         ev = ScaleEvaluator(m)
         vals = np.array([conv_cdf(ev, float(x)) for x in xs])
         assert np.all(np.diff(vals) >= -1e-10)
         assert np.all((vals >= 0.0) & (vals <= 1.0 + 1e-12))
 
 
-def test_table_method_tags():
-    assert build_table(ScaleEvaluator(BrownianDrift(1.0, 1.0))).method is HMethod.ANALYTIC_BM
-    assert build_table(ScaleEvaluator(CramerLundberg(2.0, 1.0, 1.0))).method is HMethod.ANALYTIC_CL
-    assert (
-        build_table(ScaleEvaluator(BetaFamily(1.5)), x_max=2.0, n_points=201).method
-        is HMethod.NUMERIC_QUADRATURE
-    )
-
-
 def test_table_interpolation_accuracy():
-    ev = ScaleEvaluator(CramerLundberg(2.0, 1.0, 1.0))
-    table = build_table(ev)
+    # the table evaluates the closed form itself, so it matches H exactly
     rng = np.random.default_rng(21)
-    xs = rng.uniform(0.0, table.grid[-1], size=40)
-    direct = np.array([conv_cdf(ev, float(x)) for x in xs])
-    assert np.allclose(table(xs), direct, atol=2e-5, rtol=0)
+    xs = rng.uniform(-1.0, 12.0, size=40)
+    for m in (CramerLundberg(2.0, 1.0, 1.0), BetaFamily(1.5)):
+        ev = ScaleEvaluator(m)
+        table = build_table(ev)
+        direct = np.array([conv_cdf(ev, float(x)) for x in xs])
+        assert np.array_equal(table(xs), direct)
+        assert table(float(xs[0])) == direct[0]
 
 
 def test_table_covers_median():
-    for m in (BrownianDrift(1.0, 1.0), CramerLundberg(2.0, 1.0, 1.0), BetaFamily(1.5)):
-        table = build_table(ScaleEvaluator(m)) if not isinstance(m, BetaFamily) else (
-            build_table(ScaleEvaluator(m), n_points=401)
-        )
-        assert table.values[-1] >= 0.99**2
-        assert np.all(np.diff(table.values) >= 0.0)
+    # the solver's bracket [0, 2 F^-1(2^-1/2)]: H(x) >= F(x/2)^2 >= 1/2 at its end
+    for m in (BrownianDrift(1.0, 1.0), CramerLundberg(2.0, 1.0, 1.0), BetaFamily(1.01),
+              BetaFamily(1.5)):
+        ev = ScaleEvaluator(m)
+        hi = 2.0 * ev.inf_cdf_quantile(2.0**-0.5)
+        table = build_table(ev)
+        assert table(hi) >= ev.inf_cdf(0.5 * hi) ** 2 >= 0.5 - 1e-15
+        assert table(hi) > 0.5
 
 
 def test_table_extends_flat_and_zero():
-    table = build_table(ScaleEvaluator(BrownianDrift(1.0, 1.0)), x_max=3.0, n_points=301)
-    assert table(-1.0) == 0.0
-    assert table(99.0) == table.values[-1]
+    for m in (BrownianDrift(1.0, 1.0), BetaFamily(1.5)):
+        table = build_table(ScaleEvaluator(m))
+        assert table(-1.0) == 0.0
+        assert table(99.0) == 1.0
 
 
 def test_cum_integral_matches_quadrature():
-    ev = ScaleEvaluator(BrownianDrift(1.0, 1.0))
-    table = build_table(ev)
-    for x in (0.5, 1.3, 2.7):
-        ref, _ = integrate.quad(lambda t: conv_analytic(ev, t), 0.0, x)
-        assert table.cum_integral(x) == pytest.approx(ref, abs=1e-5)
+    for m in (BrownianDrift(1.0, 1.0), CramerLundberg(2.0, 1.0, 1.0), BetaFamily(1.01),
+              BetaFamily(1.5), BetaFamily(2.0)):
+        ev = ScaleEvaluator(m)
+        table = build_table(ev)
+        for x in (1e-6, 0.5, 1.3, 2.7, 9.0, 40.0, 100.0):
+            ref, _ = integrate.quad(
+                lambda t: conv_analytic(ev, t), 0.0, x, epsabs=0.0, epsrel=1e-12, limit=200,
+                points=[p for p in (1e-3, 1.0) if p < x] or None,
+            )
+            assert table.cum_integral(x) == pytest.approx(ref, rel=1e-10)
 
 
 def test_cum_integral_additivity():
-    table = build_table(ScaleEvaluator(CramerLundberg(2.0, 1.0, 1.0)))
-    a, b = 0.8, 2.2
-    seg = table.cum_integral(b) - table.cum_integral(a)
-    # midpoint split must agree exactly for a piecewise-linear interpolant
-    mid = table.cum_integral(1.5) - table.cum_integral(a) + (
-        table.cum_integral(b) - table.cum_integral(1.5)
-    )
-    assert seg == pytest.approx(mid, abs=1e-14)
+    for m in (CramerLundberg(2.0, 1.0, 1.0), BetaFamily(1.5)):
+        table = build_table(ScaleEvaluator(m))
+        a, b = 0.8, 2.2
+        seg = table.cum_integral(b) - table.cum_integral(a)
+        mid = table.cum_integral(1.5) - table.cum_integral(a) + (
+            table.cum_integral(b) - table.cum_integral(1.5)
+        )
+        assert seg == pytest.approx(mid, abs=1e-14)
+        # H is bounded by 1 and increasing, so the segment is bounded by its ends
+        assert (b - a) * table(a) <= seg <= (b - a) * table(b)
 
 
 def test_cum_integral_guards():
-    table = build_table(ScaleEvaluator(BrownianDrift(1.0, 1.0)), x_max=2.0, n_points=201)
-    assert table.cum_integral(-1.0) == 0.0
-    with pytest.raises(ValueError):
-        table.cum_integral(2.5)
-
-
-def test_build_table_guards():
-    ev = ScaleEvaluator(BrownianDrift(1.0, 1.0))
-    with pytest.raises(ValueError):
-        build_table(ev, x_max=-1.0)
-    with pytest.raises(ValueError):
-        build_table(ev, x_max=1.0, n_points=1)
-
-
-def test_table_constructor_guards():
-    with pytest.raises(ValueError):
-        ConvolutionTable(
-            grid=np.array([0.5, 1.0]),
-            values=np.array([0.0, 0.5]),
-            method=HMethod.ANALYTIC_BM,
-            quad_tol=1e-9,
-        )
-    with pytest.raises(ValueError):
-        ConvolutionTable(
-            grid=np.array([0.0, 1.0, 2.0]),
-            values=np.array([0.0, 0.5]),
-            method=HMethod.ANALYTIC_BM,
-            quad_tol=1e-9,
-        )
+    for m in (BrownianDrift(1.0, 1.0), BetaFamily(1.5)):
+        table = build_table(ScaleEvaluator(m))
+        assert table.cum_integral(-1.0) == 0.0
+        assert table.cum_integral(0.0) == 0.0
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                table.cum_integral(bad)

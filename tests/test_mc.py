@@ -173,6 +173,10 @@ def test_config_validation():
         McConfig(n_paths=10, base_seed=1, tail_eps=0.0)
     with pytest.raises(ValueError):
         McConfig(n_paths=10, base_seed=1, tail_eps=0.02)
+    with pytest.raises(ValueError):
+        McConfig(n_paths=True, base_seed=1)
+    with pytest.raises(ValueError):
+        McConfig(n_paths=10, base_seed=False)
 
 
 def test_simulation_guards():
@@ -183,6 +187,9 @@ def test_simulation_guards():
         simulate_paths(BM, cfg, a_levels=(50.0,))
     with pytest.raises(ValueError):
         simulate_paths(BetaFamily(1.5), cfg, exact_crossings=True)
+    # one path gives no standard error, so the estimators refuse it
+    with pytest.raises(ValueError):
+        estimate_expected_g(CL, McConfig(n_paths=1, base_seed=1))
 
 
 def test_unknown_model_rejected():

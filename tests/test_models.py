@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -97,6 +98,18 @@ def test_phi_inverts_psi():
         for q in (0.1, 1.0, 7.5):
             x = m.phi(q)
             assert m.psi(x) == pytest.approx(q, abs=1e-10)
+    # large arguments: the residual is held relative to q
+    for m, q in (
+        (BrownianDrift(1.0, 1.0), 1e5),
+        (BrownianDrift(1e-3, 1e-2), 1e6),
+        (BetaFamily(1.5), 1e6),
+        (CramerLundberg(4.0, 1.0, 1.0), 1e300),
+    ):
+        x = m.phi(q)
+        assert abs(m.psi(x) - q) <= 1e-12 * q
+    # the bracket q/psi'(0+) overflows
+    with pytest.raises(ArithmeticError):
+        BrownianDrift(1e-10, 1.0).phi(1e300)
 
 
 def test_phi_at_zero_is_zero():
@@ -148,3 +161,14 @@ def test_params_roundtrip():
 def test_model_from_dict_rejects_unknown():
     with pytest.raises(ValueError):
         model_from_dict({"kind": "stable", "alpha": 1.5})
+
+
+def test_beta_psi_large_theta_matches_mpmath():
+    # the lgamma difference is summed as a Stirling series from theta + 1 = 20
+    for beta in (1.01, 1.5, 1.999):
+        m = BetaFamily(beta)
+        for theta in (10.0, 18.99, 19.0, 1e3, 1e6, 1e9, 1e12):
+            t, b = mpmath.mpf(theta), mpmath.mpf(beta)
+            with mpmath.workdps(30):
+                ref = float(t * mpmath.gamma(t + b) / mpmath.gamma(t + 1) / mpmath.gamma(b))
+            assert m.psi(theta) == pytest.approx(ref, rel=5e-14)

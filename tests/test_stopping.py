@@ -2,12 +2,12 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, special
 
 from lastzero.models import BetaFamily, BrownianDrift, CramerLundberg
-from lastzero.scale import ScaleEvaluator
 from lastzero.stopping import (
     Regime,
     V_a_at,
@@ -18,7 +18,6 @@ from lastzero.stopping import (
     expected_tau_plus,
     laplace_g_brownian,
     solve,
-    solve_a_star,
 )
 
 BM = BrownianDrift(1.0, 1.0)
@@ -51,6 +50,19 @@ def test_threshold_beta_family():
     ev15, rule15 = solve(BetaFamily(1.5))
     assert rule15.a_star == pytest.approx(0.8694492629410581, abs=1e-8)
     assert rule15.a_star > rule15.x0
+    # near beta = 1 the median is tiny; its relative precision still holds
+    b = mpmath.mpf("1.01")
+    c = mpmath.gamma(b) ** 2 / mpmath.gamma(2 * b - 1)
+
+    def h_mp(x):
+        v = -mpmath.expm1(-x)
+        return c * v ** (2 * b - 2) * mpmath.hyp2f1(b - 1, b - 1, 2 * b - 1, v) - 0.5
+
+    with mpmath.workdps(30):
+        ref = float(mpmath.findroot(h_mp, (mpmath.mpf("5e-16"), mpmath.mpf("2e-15")),
+                                    solver="anderson"))
+    _, rule101 = solve(BetaFamily(1.01))
+    assert rule101.a_star == pytest.approx(ref, rel=1e-9)
 
 
 def test_beta_two_matches_brownian():
@@ -64,7 +76,8 @@ def test_continuous_fit_regime():
     ev, rule = solve(CramerLundberg(4.0, 1.0, 1.0))
     assert rule.regime is Regime.CONTINUOUS_FIT_ONLY
     assert rule.a_star == 0.0
-    assert rule.table is None
+    # H is still available: its atom at 0 is F(0)^2 = 0.75^2
+    assert rule.table(0.0) == pytest.approx(0.5625, abs=1e-15)
     assert V_at(ev, rule, -0.9) == pytest.approx(-0.3, abs=1e-14)
     assert V_at(ev, rule, 0.0) == 0.0
     assert V_at(ev, rule, 2.0) == 0.0
@@ -173,15 +186,6 @@ def test_value_guards():
     assert V_a_at(ev, rule.table, 0.7, 2.0) == 0.0
 
 
-def test_short_table_raises():
-    from lastzero.convolution import build_table
-
-    ev = ScaleEvaluator(BM)
-    short = build_table(ev, x_max=0.3, n_points=61)
-    with pytest.raises(ArithmeticError):
-        solve_a_star(ev, table=short)
-
-
 def test_expected_g_values():
     # E_0(g) = psi''(0+)/psi'(0+)^2
     assert expected_g(BM) == pytest.approx(1.0, abs=1e-14)
@@ -231,23 +235,25 @@ def test_laplace_decreasing_in_start():
 
 
 def test_build_value_curve():
-    ev, rule = solve(CL)
-    xs = np.linspace(-1.0, 2.0, 31)
-    thr = (0.5 * rule.a_star, rule.a_star)
-    curve = build_value_curve(ev, rule.table, xs, thr)
-    assert curve.values.shape == (2, 31)
-    assert curve.thresholds == thr
-    i = 17
-    assert curve.values[1, i] == pytest.approx(
-        V_a_at(ev, rule.table, rule.a_star, float(xs[i])), abs=1e-12
-    )
-    assert np.allclose(curve.inf_cdf, ev.inf_cdf(xs))
-    assert np.allclose(curve.conv, rule.table(xs))
+    for model in (CL, BetaFamily(1.5)):
+        ev, rule = solve(model)
+        xs = np.linspace(-1.0, 2.0, 31)
+        thr = (0.5 * rule.a_star, rule.a_star)
+        curve = build_value_curve(ev, rule.table, xs, thr)
+        assert curve.values.shape == (2, 31)
+        assert curve.thresholds == thr
+        # the curve evaluates V_a on the whole grid at once; pointwise agrees
+        for i, x in enumerate(xs):
+            assert curve.values[1, i] == pytest.approx(
+                V_a_at(ev, rule.table, rule.a_star, float(x)), abs=1e-12
+            )
+        assert np.allclose(curve.inf_cdf, ev.inf_cdf(xs))
+        assert np.allclose(curve.conv, rule.table(xs))
 
 
-def test_build_value_curve_without_table():
+def test_build_value_curve_continuous_fit():
     ev, rule = solve(CramerLundberg(4.0, 1.0, 1.0))
     xs = np.linspace(-0.5, 1.0, 7)
-    curve = build_value_curve(ev, None, xs, (0.0,))
+    curve = build_value_curve(ev, rule.table, xs, (0.0,))
     assert curve.conv[0] == 0.0
     assert curve.conv[-1] > 0.5

@@ -62,6 +62,9 @@ _MODEL_FIELDS = {
 
 
 _MAX_CURVE_ROWS = 10**6
+# verify's standard errors and pair median need a sample this large to mean
+# anything; one grid batch is 1024 paths
+_MIN_VERIFY_PATHS = 1000
 
 
 def _fmt(x) -> str:
@@ -323,6 +326,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.paths < _MIN_VERIFY_PATHS:
+        raise ValueError(f"verify needs --paths >= {_MIN_VERIFY_PATHS}, got {args.paths}")
     model = _build_model(args)
     ev, rule = solve(model)
     prof = ev.profile
@@ -465,14 +470,17 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--exact-crossings",
         action="store_true",
-        help="bridge-exact event detection (jump-free diffusion models only)",
+        help="no effect on bm and beta 2, whose steps always use the bridge law "
+        "for zero dips and passages; refused for beta < 2",
     )
     _add_io_args(sp, "csv")
     sp.set_defaults(func=_cmd_simulate)
 
     sp = sub.add_parser("verify", help="run invariant checks; exit 1 on failure")
     _add_model_args(sp)
-    sp.add_argument("--paths", type=int, default=20000)
+    sp.add_argument(
+        "--paths", type=int, default=20000, help=f"at least {_MIN_VERIFY_PATHS}"
+    )
     sp.add_argument("--seed", type=int, default=0)
     _add_io_args(sp, "json")
     sp.set_defaults(func=_cmd_verify)

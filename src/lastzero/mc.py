@@ -1,34 +1,51 @@
 """Monte Carlo engine for path functionals of the three model families.
 
-Per path, up to the first passage above a high barrier b, the engine
-extracts the last time at or below zero (g), first-passage times over a
-set of thresholds, the depth of the running infimum, and the integral of
-the gain function along the path.  The barrier is placed so the infimum
-law puts mass >= 1 - tail_eps below it, which bounds the truncation bias
-of every estimator by a quantity of order tail_eps.
+Per path the engine extracts the last time at or below zero (g),
+first-passage times over a set of thresholds, the depth of the all-time
+infimum, and the integral of the gain function up to each passage.  A
+high barrier b, placed so the infimum law puts mass >= 1 - tail_eps
+below it, bounds every path's simulated length; where a path's future
+after b is not sampled exactly, the truncation bias is of order tail_eps.
 
 Scheme by family:
 
-* CramerLundberg: exact event-driven simulation.  Paths are piecewise
-  linear between Exp-distributed jumps; passage times, zero upcrossings,
-  the infimum, and gain integrals (closed antiderivative per linear
-  segment) are all computed without discretisation error.
-* BrownianDrift: Euler grid with step dt.  g and passage times are
-  grid-resolved (bias of order dt); for the infimum the per-step minimum
-  is refined with the exact Brownian-bridge minimum law, so sampled
-  infima carry no discretisation bias at any step size.
-* BetaFamily: compound-Poisson approximation.  Jumps larger than a cutoff
-  are simulated exactly (rejection sampling from the jump law), smaller
-  ones are replaced by a Brownian motion matching their variance, and the
-  drift is compensated so the mean of X_1 is exact.  beta = 2 contains no
-  jumps at all and runs through the exact Brownian route.  Intended for
-  soft (several-standard-error) cross-checks only.
+* CramerLundberg: exact event-driven simulation up to the passage above b.
+  Paths are piecewise linear between Exp-distributed jumps; passage
+  times, zero upcrossings, the infimum, and gain integrals (closed
+  antiderivative per linear segment) are all computed without
+  discretisation error.
+* BrownianDrift (and BetaFamily(2), which is BrownianDrift(1, sqrt 2)):
+  Euler grid with step dt, refined by the Brownian-bridge law.  Each
+  step's minimum, 1/2 (P + X - sqrt((X - P)^2 - 2 sigma^2 dt log U)), gives
+  its zero dips and the infimum; one more uniform gives its maximum and
+  with it the passages over every threshold.  The uniforms are drawn
+  only on steps within sqrt(19 sigma^2 dt) of a level that matters (0,
+  the lowest point so far, a threshold): further away the bridge reaches
+  the level with probability below 2^-53.  Events are stamped at the end
+  of their step, a bias of order dt.  A path stops at the step whose
+  maximum passes the top threshold, or b when there are none, and its
+  future is drawn exactly (strong Markov property at the grid point
+  (t, x)): with E ~ Exp(2 mu / sigma^2) the future infimum is x - E, the
+  path returns to 0 iff E >= x, the return takes an inverse Gaussian
+  time with mean |x|/mu and shape x^2/sigma^2, and the last zero after it
+  adds Gamma(1/2, scale 2 sigma^2 / mu^2).  So g carries no tail_eps bias.
+* BetaFamily(beta < 2): compound-Poisson approximation on the grid, run
+  to b.  Jumps larger than a cutoff are simulated exactly (rejection
+  sampling from the jump law), smaller ones are replaced by a Brownian
+  motion matching their variance, and the drift is compensated so the
+  mean of X_1 is exact.  Zero dips, passages and the infimum are read
+  off the grid points (there is no bridge law).  Intended for soft
+  (several-standard-error) cross-checks only.
 
-Reproducibility contract: paths are organised in fixed-size batches of
-``BATCH``; batch j draws from ``Philox(key=base_seed).jumped(j)`` and
-every draw is a full-width block, so the stream feeding path k is a
-function of (base_seed, k) alone -- independent of n_paths, of which
-other paths are still alive, and of how results are later aggregated.
+Reproducibility contract: paths are organised in batches of ``BATCH``,
+the unit of ``batch_filter``.  The event engine gives batch j the stream
+``Philox(key=base_seed).jumped(j)`` and draws full-width blocks.  The grid
+engine splits each batch into groups of ``GROUP`` paths and gives group j
+(paths GROUP*j .. GROUP*j + GROUP - 1) the stream jumped(j); per block it
+draws only for the group's live paths, in row order, and the last
+group's padding rows beyond n_paths are simulated as ordinary paths.  In
+both engines the draws feeding path k are a function of (base_seed, k)
+alone: independent of n_paths and of how results are later aggregated.
 """
 
 from __future__ import annotations
@@ -46,6 +63,7 @@ from .scale import ScaleEvaluator
 
 __all__ = [
     "BATCH",
+    "GROUP",
     "McConfig",
     "McReport",
     "PathEvents",
@@ -64,9 +82,13 @@ __all__ = [
     "ks_critical",
 ]
 
-BATCH = 1024  # paths per RNG batch; fixed so streams don't depend on n_paths
-BLOCK = 1024  # Euler steps drawn per block
+BATCH = 1024  # paths per batch: the unit of batch_filter and of the CL streams
+GROUP = 16  # paths per RNG stream of the grid engine
+BLOCK = 256  # Euler steps drawn per block
 INFIMUM_BLOCK = 128  # shorter blocks for the coarse-step infimum sampler
+# a bridge step whose end points lie further than sqrt(BRIDGE_REACH sigma^2 dt)
+# from a level reaches it with probability below exp(-2 BRIDGE_REACH) < 2^-53
+BRIDGE_REACH = 19.0
 EVENT_BLOCK = 64  # jump events drawn per block (CramerLundberg)
 BETA_JUMP_CUTOFF = 1e-2  # |y| below this is folded into the Gaussian proxy
 INFIMUM_STEP = 0.02  # default bridge step for Brownian infimum sampling
@@ -80,8 +102,9 @@ def _is_int(v) -> bool:
 class McConfig:
     """Simulation budget and numerical knobs.
 
-    ``tail_eps`` controls the stopping barrier: simulation runs to the
-    first passage above the (1 - tail_eps)-quantile of the infimum law.
+    ``tail_eps`` places the barrier b at the (1 - tail_eps)-quantile of
+    the infimum law: thresholds must lie below it, and paths without an
+    exact continuation are simulated up to their passage above it.
     ``dt`` is the Euler step for the grid-based families (ignored by the
     exact CramerLundberg engine).
     """
@@ -135,8 +158,10 @@ def resolve_barrier(ev: ScaleEvaluator, tail_eps: float) -> float:
     return b
 
 
-def _batch_gen(base_seed: int, batch_index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=base_seed).jumped(batch_index))
+def _batch_gen(base_seed: int, index: int) -> np.random.Generator:
+    """Stream ``index`` of ``base_seed``: Philox(key=base_seed).jumped(index),
+    set up through the counter, which is three times cheaper."""
+    return np.random.Generator(np.random.Philox(key=base_seed, counter=[0, 0, index, 0]))
 
 
 # ---------------------------------------------------------------------------
@@ -144,141 +169,198 @@ def _batch_gen(base_seed: int, batch_index: int) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 
 
+def _levels_below(levels: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Number of the sorted ``levels`` strictly below each v."""
+    if levels.size == 1:  # a comparison costs a tenth of a searchsorted
+        return (v > levels[0]).astype(np.intp)
+    return np.searchsorted(levels, v)
+
+
+def _bridge_refine(ext, cand, P, X, inc, gens, live, gbound, var_step, sign):
+    """Replace ``ext`` on the candidate steps by the minimum (sign -1) or the
+    maximum (sign +1) of the Brownian bridge from P to X over the step.
+
+    Each live group draws one uniform per candidate step of its rows, in
+    row order, from its own stream.
+    """
+    flat = np.flatnonzero(cand)
+    u = np.empty(flat.size)
+    off = np.searchsorted(flat, gbound * cand.shape[1])
+    for j, gi in enumerate(live):
+        gens[gi].random(out=u[off[j] : off[j + 1]])
+    d = inc.ravel()[flat]
+    spread = np.sqrt(d * d - 2.0 * var_step * np.log1p(-u))
+    ext.ravel()[flat] = 0.5 * (P.ravel()[flat] + X.ravel()[flat] + sign * spread)
+
+
 def _run_grid(
     cfg: McConfig,
     start: float,
     b: float,
     a_arr: np.ndarray,
-    dt: float,
     mu_rate: float,
     sig: float,
     gain_fn,
     jumper,
     want_gint: bool,
-    bridge: bool,
     batch_filter=None,
     block: int = BLOCK,
-    exact_events: bool = False,
 ):
-    n = cfg.n_paths
-    na = a_arr.size
+    n, na, dt = cfg.n_paths, a_arr.size, cfg.dt
+    exact = jumper is None  # bridge events and exact continuation
     g_out = np.zeros(n)
     inf_out = np.full(n, float(start))
     tau_out = np.zeros((n, na))
     gint_out = np.zeros((n, na))
+    # the levels whose first passages are resolved, in ascending order; paths
+    # stop at the last one (the top threshold, or b on the jump route and
+    # when there are no thresholds)
+    order = np.argsort(a_arr, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(na)
+    levels = a_arr[order]
+    if not exact or na == 0:
+        levels = np.append(levels, b)
+    nl = levels.size
     drift = mu_rate * dt
     sigstep = sig * math.sqrt(dt)
     var_step = sig * sig * dt
-    two_var = 2.0 * var_step
-    exp_steps = (b - min(start, 0.0)) / max(mu_rate, 1e-12) / dt
+    reach = math.sqrt(BRIDGE_REACH * var_step)
+    # the union of the intervals (level - reach, level], merged where they overlap
+    gap = np.diff(levels) > reach
+    near_lo = np.append(levels[0], levels[1:][gap]) - reach
+    near_hi = np.append(levels[:-1][gap], levels[-1])
+    exp_steps = (levels[-1] - min(start, 0.0)) / max(mu_rate, 1e-12) / dt
     cap_blocks = int(60.0 * exp_steps / block) + 200
-    hit0 = start > a_arr  # levels already exceeded at t = 0
+    hit0 = start > levels  # levels already exceeded at t = 0
+    jgrid = np.arange(block)
+    # one generator per group slot of a batch, moved to each batch's group
+    # streams by setting its state, which is five times cheaper than a new one
+    gens = [_batch_gen(cfg.base_seed, 0) for _ in range(-(-min(n, BATCH) // GROUP))]
+    fresh = gens[0].bit_generator.state
     n_batches = (n + BATCH - 1) // BATCH
     for bi in range(n_batches):
         if batch_filter is not None and bi not in batch_filter:
             continue
-        gen = _batch_gen(cfg.base_seed, bi)
         lo = bi * BATCH
         m = min(BATCH, n - lo)
-        x = np.full(BATCH, float(start))
-        alive = np.zeros(BATCH, bool)
-        alive[:m] = True
-        stepbase = np.zeros(BATCH, np.int64)
-        g_cur = np.zeros(BATCH)
-        inf_cur = np.full(BATCH, float(start))
-        tau_t = np.zeros((BATCH, na))
-        gint_at = np.zeros((BATCH, na))
-        tau_done = np.zeros((BATCH, na), bool)
-        tau_done[:, hit0] = True
-        gint_cum = np.zeros(BATCH)
-        jgrid = np.arange(block)
+        ng = -(-m // GROUP)
+        rows = ng * GROUP  # the last group's padding rows run too
+        for j in range(ng):
+            fresh["state"]["counter"] = np.array([0, 0, lo // GROUP + j, 0], np.uint64)
+            gens[j].bit_generator.state = fresh
+        x = np.full(rows, float(start))
+        steps = np.zeros(rows, np.int64)
+        alive = np.full(rows, not hit0[-1])  # else every path continues from t = 0
+        g_cur = np.zeros(rows)
+        inf_cur = np.full(rows, float(start))
+        tau_t = np.zeros((rows, nl))
+        gint_at = np.zeros((rows, nl))
+        tau_done = np.tile(hit0, (rows, 1))
+        gint_cum = np.zeros(rows)
         blocks = 0
         while alive.any():
-            # full-width draws in fixed order keep per-path streams stable
-            Z = gen.standard_normal((BATCH, block))
-            J = jumper(gen) if jumper is not None else None
-            U = gen.random((BATCH, block)) if bridge else None
-            E0 = gen.random((BATCH, block)) if exact_events else None
-            EA = gen.random((BATCH, block, na)) if exact_events and na else None
             blocks += 1
             if blocks > cap_blocks:
                 raise ArithmeticError(
-                    f"paths did not cross barrier {b:g} within {cap_blocks * block} steps"
+                    f"paths did not cross level {levels[-1]:g} within {cap_blocks * block} steps"
                 )
             idx = np.flatnonzero(alive)
-            inc = drift + sigstep * Z[idx]
-            if J is not None:
-                inc = inc + J[idx]
-            X = x[idx, None] + np.cumsum(inc, axis=1)
-            M = np.maximum.accumulate(X, axis=1)
-            kb = (M <= b).sum(axis=1)  # crossing step index in block; == block if none
-            vmask = jgrid[None, :] <= kb[:, None]
-            t0 = stepbase[idx]
-            need_prev = bridge or want_gint or exact_events
-            if need_prev:
-                P = np.concatenate([x[idx, None], X[:, :-1]], axis=1)
-            if exact_events:
-                # exact within-step events from the bridge law: the segment
-                # dips to 0 with prob exp(-2 P X / (sigma^2 dt))
-                prod = np.maximum(P, 0.0) * np.maximum(X, 0.0)
-                dipped = (
-                    (X <= 0.0)
-                    | (P <= 0.0)
-                    | (E0[idx] < np.exp(-2.0 * prod / var_step))
-                )
-                negm = dipped & vmask
+            R = idx.size
+            # live rows of one group are contiguous; each group draws from
+            # its own stream, for its live rows only
+            live, gstart = np.unique(idx // GROUP, return_index=True)
+            gbound = np.append(gstart, R)
+            inc = np.empty((R, block))
+            for j, gi in enumerate(live):
+                gens[gi].standard_normal(out=inc[gbound[j] : gbound[j + 1]])
+            inc *= sigstep
+            inc += drift
+            if not exact:
+                for j, gi in enumerate(live):
+                    inc[gbound[j] : gbound[j + 1]] += jumper(
+                        gens[gi], gbound[j + 1] - gbound[j], block
+                    )
+            X = np.cumsum(inc, axis=1)
+            X += x[idx, None]
+            P = np.empty_like(X)
+            P[:, 0] = x[idx]
+            P[:, 1:] = X[:, :-1]
+            if exact:
+                # passages: step maxima from the bridge law, drawn only on
+                # steps whose end points lie within reach below a level
+                high = np.maximum(P, X)
+                cand = _levels_below(near_lo, high) > _levels_below(near_hi, high)
+                _bridge_refine(high, cand, P, X, inc, gens, live, gbound, var_step, 1.0)
             else:
-                negm = (X <= 0.0) & vmask
-            rows = np.flatnonzero(negm.any(axis=1))
-            if rows.size:
-                jlast = block - 1 - np.argmax(negm[rows, ::-1], axis=1)
-                g_cur[idx[rows]] = (t0[rows] + jlast + 1) * dt
-            xmin = np.where(vmask, X, np.inf).min(axis=1)
-            if bridge:
-                # exact conditional minimum of each Brownian step segment
-                disc = (X - P) ** 2 - two_var * np.log1p(-U[idx])
-                mbr = 0.5 * (P + X - np.sqrt(disc))
-                xmin = np.minimum(xmin, np.where(vmask, mbr, np.inf).min(axis=1))
-            inf_cur[idx] = np.minimum(inf_cur[idx], xmin)
+                high = X
+            # first step past each level: one searchsorted over the running
+            # maximum's level counts, offset per row so they sort globally
+            passed = _levels_below(levels, np.maximum.accumulate(high, axis=1))
+            passed += (np.arange(R) * (nl + 1))[:, None]
+            queries = (np.arange(R) * (nl + 1))[:, None] + np.arange(nl)
+            first = np.searchsorted(passed.ravel(), queries.ravel(), side="right")
+            first = first.reshape(R, nl) - (np.arange(R) * block)[:, None]
+            kstop = first[:, -1]  # == block when the path goes on
+            stop = np.flatnonzero(kstop < block)
+            low = np.minimum(P, X) if exact else X.copy()
+            if stop.size:
+                low[stop] = np.where(jgrid > kstop[stop, None], np.inf, low[stop])
+            if exact:
+                # zero dips and the infimum: step minima from the bridge law,
+                # drawn only on steps within reach above 0 or above the
+                # lowest point so far
+                ref = np.minimum(inf_cur[idx], low.min(axis=1))[:, None]
+                cand = (low < ref + reach) | ((low > 0.0) & (low < reach))
+                _bridge_refine(low, cand, P, X, inc, gens, live, gbound, var_step, -1.0)
+            t0 = steps[idx]
+            dip = low <= 0.0
+            rws = np.flatnonzero(dip.any(axis=1))
+            if rws.size:
+                jlast = block - 1 - np.argmax(dip[rws, ::-1], axis=1)
+                g_cur[idx[rws]] = (t0[rws] + jlast + 1) * dt
+            inf_cur[idx] = np.minimum(inf_cur[idx], low.min(axis=1))
+            r_new, l_new = np.nonzero((first < block) & ~tau_done[idx])
+            k_new = first[r_new, l_new]
+            tau_t[idx[r_new], l_new] = (t0[r_new] + k_new + 1) * dt
+            tau_done[idx[r_new], l_new] = True
             if want_gint:
                 cg = np.cumsum(gain_fn(P), axis=1) * dt
-            for ia in range(na):
-                pend = np.flatnonzero(~tau_done[idx, ia])
-                if pend.size == 0:
-                    continue
-                if exact_events:
-                    # segment max exceeds a with prob exp(-2 (a-P)(a-X)/var)
-                    a = a_arr[ia]
-                    gap = np.maximum(a - P[pend], 0.0) * np.maximum(a - X[pend], 0.0)
-                    cross = (
-                        (X[pend] > a)
-                        | (EA[idx[pend], :, ia] < np.exp(-2.0 * gap / var_step))
-                    ) & vmask[pend]
-                    ka = (np.cumsum(cross, axis=1) == 0).sum(axis=1)
-                else:
-                    ka = (M[pend] <= a_arr[ia]).sum(axis=1)
-                hitrel = np.flatnonzero(ka < block)
-                if hitrel.size == 0:
-                    continue
-                hs = pend[hitrel]
-                rows = idx[hs]
-                tau_t[rows, ia] = (t0[hs] + ka[hitrel] + 1) * dt
-                if want_gint:
-                    gint_at[rows, ia] = gint_cum[rows] + cg[hs, ka[hitrel]]
-                tau_done[rows, ia] = True
-            if want_gint:
+                gint_at[idx[r_new], l_new] = gint_cum[idx[r_new]] + cg[r_new, k_new]
                 gint_cum[idx] += cg[:, -1]
             x[idx] = X[:, -1]
-            stepbase[idx] += block
-            died = kb < block
-            if died.any():
-                alive[idx[died]] = False
+            steps[idx] += block
+            if stop.size:
+                rs = idx[stop]
+                x[rs] = X[stop, kstop[stop]]
+                steps[rs] = t0[stop] + kstop[stop] + 1
+                alive[rs] = False
+        if exact:
+            # strong Markov property at the stop: from x the future infimum
+            # is x - E with E ~ Exp(2 mu / sigma^2); the path returns to 0
+            # iff x - E <= 0, after an inverse Gaussian hitting time, and
+            # the last zero of a fresh path from 0 is Gamma(1/2, 2 sigma^2 / mu^2)
+            t_stop = steps * dt
+            for j, gen in enumerate(gens[:ng]):
+                s = slice(j * GROUP, (j + 1) * GROUP)
+                xs = x[s]
+                e = gen.standard_exponential(GROUP) * (0.5 * sig * sig / mu_rate)
+                inf_cur[s] = np.minimum(inf_cur[s], xs - e)
+                ret = np.flatnonzero(e >= xs)
+                if ret.size:
+                    xr = np.abs(xs[ret])
+                    shape = (xr / sig) ** 2
+                    hit = np.zeros(ret.size)
+                    pos = shape > 0.0  # from x = 0 the return is immediate
+                    hit[pos] = gen.wald(xr[pos] / mu_rate, shape[pos])
+                    last = gen.gamma(0.5, 2.0 * (sig / mu_rate) ** 2, ret.size)
+                    g_cur[s][ret] = t_stop[s][ret] + hit + last
         sl = slice(lo, lo + m)
         g_out[sl] = g_cur[:m]
         inf_out[sl] = inf_cur[:m]
         if na:
-            tau_out[sl] = tau_t[:m]
-            gint_out[sl] = gint_at[:m]
+            tau_out[sl] = tau_t[:m, rank]
+            gint_out[sl] = gint_at[:m, rank]
     return {"g": g_out, "tau": tau_out, "inf_depth": -inf_out, "gint": gint_out}
 
 
@@ -471,18 +553,18 @@ def _beta_jumper(beta: float, dt: float):
     u_eps = -math.expm1(-BETA_JUMP_CUTOFF)
     lam_dt = rate * dt
 
-    def jumper(gen):
-        counts = gen.poisson(lam_dt, size=(BATCH, BLOCK))
+    def jumper(gen, rows, block):
+        counts = gen.poisson(lam_dt, size=(rows, block))
         tot = int(counts.sum())
         if tot == 0:
-            return np.zeros((BATCH, BLOCK))
+            return 0.0
         sizes = _sample_big_jumps(gen, tot, beta, u_eps)
         flat = counts.ravel()
-        out = np.zeros(BATCH * BLOCK)
+        out = np.zeros(flat.size)
         nz = np.flatnonzero(flat)
         starts = (np.cumsum(flat) - flat)[nz]
         out[nz] = np.add.reduceat(sizes, starts)
-        return out.reshape(BATCH, BLOCK)
+        return out.reshape(rows, block)
 
     return jumper
 
@@ -504,10 +586,10 @@ def simulate_paths(
 ) -> dict:
     """Run all paths; returns arrays g, tau, inf_depth, gint (see engines).
 
-    ``exact_crossings`` applies only to the pure-diffusion route: per-step
-    zero visits and threshold crossings are then drawn from the exact
-    bridge probabilities, cutting the O(sqrt(dt)) detection bias of the
-    plain grid scan down to the O(dt) time-stamping resolution.
+    The diffusion route always detects zero dips and passages from the
+    bridge law, so ``exact_crossings`` changes nothing there; the jump
+    route has no bridge law and refuses it.  ``infimum_mode`` selects the
+    shorter block of the coarse-step infimum sampler.
     """
     ev = ScaleEvaluator(model)
     b = resolve_barrier(ev, cfg.tail_eps)
@@ -537,24 +619,9 @@ def simulate_paths(
         raise TypeError(f"no simulation engine for {type(model).__name__}")
     if exact_crossings and jumper is not None:
         raise ValueError("exact_crossings requires a jump-free diffusion route")
-    bridge = infimum_mode and jumper is None
-    # the jump scatter is laid out for full BLOCK-wide draws
-    block = INFIMUM_BLOCK if (bridge and not a_arr.size and not want_gint) else BLOCK
+    block = INFIMUM_BLOCK if infimum_mode else BLOCK
     return _run_grid(
-        cfg,
-        start,
-        b,
-        a_arr,
-        cfg.dt,
-        mu,
-        sig,
-        ev.gain,
-        jumper,
-        want_gint,
-        bridge,
-        batch_filter,
-        block=block,
-        exact_events=exact_crossings,
+        cfg, start, b, a_arr, mu, sig, ev.gain, jumper, want_gint, batch_filter, block
     )
 
 
@@ -677,10 +744,11 @@ def estimate_laplace_g(
 def sample_infimum(model: LevyModel, cfg: McConfig, step: float | None = None) -> np.ndarray:
     """Sampled depths of the all-time infimum, one per path.
 
-    For the Brownian route the per-step minimum uses the exact bridge law,
-    so the default coarse step costs nothing in accuracy; the cutoff bias
-    (infimum observed only until the barrier passage) is bounded by
-    tail_eps.  CramerLundberg infima are exact by construction.
+    For the Brownian route the per-step minimum uses the exact bridge law
+    and the infimum after the barrier passage is drawn exactly, so the
+    default coarse step costs nothing in accuracy.  CramerLundberg infima
+    are exact up to the barrier passage, which bounds their cutoff bias
+    by tail_eps.
     """
     if isinstance(model, BrownianDrift) or (
         isinstance(model, BetaFamily) and model.brownian_equivalent() is not None

@@ -45,6 +45,15 @@ _STIRLING = (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0)
 _STIRLING_FROM = 20.0
 
 
+def _split(lo: float, hi: float) -> float:
+    """Bisection point of [lo, hi]: the geometric mean of max(lo, 1) and hi
+    while hi exceeds that by more than three decades, else the midpoint."""
+    floor = max(lo, 1.0)
+    if hi > 1e3 * floor:
+        return math.sqrt(floor) * math.sqrt(hi)
+    return 0.5 * (lo + hi)
+
+
 class Variation(enum.Enum):
     """Path variation class of the jump part plus Gaussian part."""
 
@@ -99,8 +108,13 @@ class LevyModel(ABC):
         psi is strictly increasing and convex on [0, inf) with psi(0) = 0
         and psi'(0+) > 0 for every model here, so the root is unique and
         psi(theta) >= psi'(0+) theta brackets it in [0, q/psi'(0+)].
-        Solved by Newton steps safeguarded with bisection; the returned
-        value satisfies |psi(phi(q)) - q| <= tol * max(1, q).
+        Solved by Newton steps safeguarded with bisection; the bisection
+        is geometric while the bracket spans more than three decades, so
+        a psi that overflows inside the bracket costs a few steps, not
+        hundreds.  The returned value satisfies |psi(phi(q)) - q| <= tol * q,
+        or, where psi itself loses digits to cancellation (Cramer-Lundberg
+        near load 1), is the root to the resolution of psi's sign changes:
+        the solve stops when the bracket holds no further point.
         """
         if not np.isfinite(q) or q < 0:
             raise ValueError(f"phi requires q >= 0, got {q!r}")
@@ -109,23 +123,26 @@ class LevyModel(ABC):
         lo, hi = 0.0, q / self.psi_derivatives()[0]
         if not math.isfinite(hi):
             raise ArithmeticError(f"phi({q}): upper bracket q/psi'(0+) overflows")
-        res_tol = tol * max(1.0, q)
-        x = 0.5 * (lo + hi)
-        for _ in range(_PHI_MAX_ITER):
-            res = self.psi(x) - q
-            if abs(res) <= res_tol:
-                return float(x)
-            if res > 0.0:
-                hi = x
-            else:
-                lo = x
-            slope = self.psi_prime(x)
-            x_new = 0.5 * (lo + hi)
-            if slope > 0.0 and np.isfinite(slope):
-                newton = x - res / slope
-                if lo < newton < hi:
-                    x_new = newton
-            x = x_new
+        res_tol = tol * q
+        x = _split(lo, hi)
+        with np.errstate(over="ignore"):  # an overflowing psi only lowers hi
+            for _ in range(_PHI_MAX_ITER):
+                res = self.psi(x) - q
+                if abs(res) <= res_tol:
+                    return float(x)
+                if res > 0.0:
+                    hi = x
+                else:
+                    lo = x
+                x_new = _split(lo, hi)
+                if not lo < x_new < hi:
+                    return float(x)
+                slope = self.psi_prime(x)
+                if math.isfinite(res) and slope > 0.0 and math.isfinite(slope):
+                    newton = x - res / slope
+                    if lo < newton < hi:
+                        x_new = newton
+                x = x_new
         raise ArithmeticError(f"phi({q}) did not converge to residual {res_tol}")
 
     def phi_derivs0(self) -> tuple[float, float]:

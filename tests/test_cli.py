@@ -280,6 +280,16 @@ def test_verify_csv_brownian(capsys):
     assert any(r["name"] == "mc_laplace_g" for r in rows)
 
 
+def test_verify_refuses_tiny_budget(capsys):
+    # two paths give one pair and a standard error of noise: refused up front
+    for paths in ("2", "999"):
+        assert main(["verify", "--model", "bm", "--paths", paths]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--paths >= 1000" in captured.err
+    rc, _ = run(capsys, "verify", "--model", "cl", "--paths", "1000", "--seed", "1")
+    assert rc in (0, 1)
+
+
 def test_verify_continuous_fit_checks(capsys):
     rc, out = run(capsys, "verify", "--model", "cl", "--mu", "4", "--paths", "4000", "--seed", "1")
     assert rc == 0

@@ -1,17 +1,21 @@
 """Monte Carlo engines: determinism, distributions, and guard rails."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import integrate
 
 from lastzero.mc import (
+    BATCH,
     BETA_JUMP_CUTOFF,
+    GROUP,
     McConfig,
     beta_jump_params,
     estimate_expected_g,
     estimate_laplace_g,
+    estimate_mean_abs_error,
     estimate_passage_time,
     estimate_value,
     infimum_pair_sum_median,
@@ -45,6 +49,54 @@ def test_streams_independent_of_budget(model):
     one = sample_path_events(model, _coarse(4000, 7), 1337, a_list=(0.8,))
     assert one.g == large["g"][1337]
     assert one.tau == tuple(large["tau"][1337])
+
+
+def test_group_streams_independent_of_budget():
+    # budgets that end inside an RNG group: the last group's padding rows
+    # are simulated, so the real rows of that group see the same draws
+    assert 1000 % GROUP and 1030 % GROUP
+    for levels in ((), (0.3, 0.8)):
+        small = simulate_paths(BM, _coarse(1000, 5), a_levels=levels)
+        large = simulate_paths(BM, _coarse(1030, 5), a_levels=levels)
+        for key in ("g", "tau", "inf_depth"):
+            assert np.array_equal(small[key], large[key][:1000])
+    # paths on either side of a group and of a batch boundary
+    large = simulate_paths(BM, _coarse(BATCH + 6, 5), a_levels=(0.8,))
+    for i in (GROUP - 1, GROUP, BATCH - 1, BATCH, BATCH + 5):
+        one = sample_path_events(BM, _coarse(BATCH + 6, 5), i, a_list=(0.8,))
+        assert one.g == large["g"][i]
+        assert one.tau == tuple(large["tau"][i])
+        assert one.inf_depth == large["inf_depth"][i]
+
+
+def test_coarse_step_brownian_is_unbiased():
+    # the bridge law for zero dips and passages plus the exact continuation
+    # after tau_a leave only the O(dt) time stamping: at dt = 0.02 the plain
+    # grid scan misses about a tenth of E(g) (12 standard errors here)
+    from lastzero.stopping import V_at, expected_g, solve
+
+    ev, rule = solve(BM)
+    cfg = McConfig(n_paths=40000, base_seed=11, dt=0.02)
+    rep = estimate_expected_g(BM, cfg)
+    assert abs(rep.estimate - expected_g(BM)) <= 4.0 * rep.std_error
+    rep = estimate_mean_abs_error(BM, cfg, rule.a_star)
+    target = V_at(ev, rule, 0.0) + expected_g(BM)
+    assert abs(rep.estimate - target) <= 4.0 * rep.std_error
+
+
+def test_many_thresholds_bounded_memory():
+    # passages are found per level from shared per-step arrays, so memory
+    # does not grow with the number of thresholds times the block size
+    levels = tuple(np.linspace(0.0, 3.0, 200))
+    tracemalloc.start()
+    try:
+        res = simulate_paths(BM, _coarse(BATCH, 2), a_levels=levels, exact_crossings=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    # every passage time is nondecreasing in the level
+    assert np.all(np.diff(res["tau"], axis=1) >= 0.0)
 
 
 def test_sample_path_events_guards():

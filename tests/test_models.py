@@ -98,15 +98,27 @@ def test_phi_inverts_psi():
         for q in (0.1, 1.0, 7.5):
             x = m.phi(q)
             assert m.psi(x) == pytest.approx(q, abs=1e-10)
-    # large arguments: the residual is held relative to q
+    # the residual is held relative to q, small or large; at 1e300 psi
+    # overflows inside the initial bracket
     for m, q in (
+        (BrownianDrift(1.0, 1.0), 1e-6),
         (BrownianDrift(1.0, 1.0), 1e5),
         (BrownianDrift(1e-3, 1e-2), 1e6),
+        (BetaFamily(1.5), 1e-6),
         (BetaFamily(1.5), 1e6),
         (CramerLundberg(4.0, 1.0, 1.0), 1e300),
+        (BrownianDrift(1.0, 1.0), 1e300),
+        (BetaFamily(1.5), 1e300),
     ):
         x = m.phi(q)
         assert abs(m.psi(x) - q) <= 1e-12 * q
+    # near load 1 psi cancels to a few 1e-12 relative, above the residual
+    # target; the solve still returns the root, to the resolution of psi:
+    # mu th^2 + (mu rho - lam - q) th - q rho = 0, solved without cancellation
+    mu, lam, rho, q = 1.0, 1.0 - 1e-12, 1.0, 1e-9
+    c1 = mu * rho - lam - q
+    root = 2.0 * q * rho / (c1 + math.sqrt(c1 * c1 + 4.0 * mu * q * rho))
+    assert CramerLundberg(mu, lam, rho).phi(q) == pytest.approx(root, rel=1e-9)
     # the bracket q/psi'(0+) overflows
     with pytest.raises(ArithmeticError):
         BrownianDrift(1e-10, 1.0).phi(1e300)

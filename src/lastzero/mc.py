@@ -58,7 +58,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import integrate, special
 
-from .models import BetaFamily, BrownianDrift, CramerLundberg, LevyModel
+from .models import CramerLundberg, LevyModel
 from .scale import ScaleEvaluator
 
 __all__ = [
@@ -92,6 +92,9 @@ BRIDGE_REACH = 19.0
 EVENT_BLOCK = 64  # jump events drawn per block (CramerLundberg)
 BETA_JUMP_CUTOFF = 1e-2  # |y| below this is folded into the Gaussian proxy
 INFIMUM_STEP = 0.02  # default bridge step for Brownian infimum sampling
+# the grid engine refuses a dt whose expected path length to its last level
+# exceeds this many steps (a default BM(1,1) run to b takes about 3.5e3)
+MAX_STEPS_PER_PATH = 1e7
 
 
 def _is_int(v) -> bool:
@@ -106,7 +109,8 @@ class McConfig:
     the infimum law: thresholds must lie below it, and paths without an
     exact continuation are simulated up to their passage above it.
     ``dt`` is the Euler step for the grid-based families (ignored by the
-    exact CramerLundberg engine).
+    exact CramerLundberg engine); a run refuses, with ValueError, a dt that
+    would take more than ``MAX_STEPS_PER_PATH`` steps per path.
     """
 
     n_paths: int
@@ -231,6 +235,9 @@ def _run_grid(
     near_lo = np.append(levels[0], levels[1:][gap]) - reach
     near_hi = np.append(levels[:-1][gap], levels[-1])
     exp_steps = (levels[-1] - min(start, 0.0)) / max(mu_rate, 1e-12) / dt
+    if exp_steps > MAX_STEPS_PER_PATH:
+        raise ValueError(
+            f"dt = {dt:g} needs {exp_steps:.3g} steps per path, over {MAX_STEPS_PER_PATH:g}")
     cap_blocks = int(60.0 * exp_steps / block) + 200
     hit0 = start > levels  # levels already exceeded at t = 0
     jgrid = np.arange(block)
@@ -371,6 +378,7 @@ def _run_grid(
 
 def _run_cl(
     model: CramerLundberg,
+    law,
     cfg: McConfig,
     start: float,
     b: float,
@@ -380,8 +388,7 @@ def _run_cl(
 ):
     lam, rho, mu = model.lam, model.rho, model.mu
     p1 = mu - lam / rho
-    r = lam / (mu * rho)
-    k = rho - lam / mu
+    r, k = law.r, law.k
 
     def psi_gain(v):
         # antiderivative of gain from 0: gain = -1 below 0, 1 - 2r e^{-kv} above
@@ -602,21 +609,14 @@ def simulate_paths(
         )
     if isinstance(model, CramerLundberg):
         # the event engine is exact already
-        return _run_cl(model, cfg, start, b, a_arr, want_gint, batch_filter)
-    if isinstance(model, BrownianDrift):
-        mu, sig = model.mu, model.sigma
-        jumper = None
-    elif isinstance(model, BetaFamily):
-        equiv = model.brownian_equivalent()
-        if equiv is not None:
-            mu, sig = equiv.mu, equiv.sigma
-            jumper = None
-        else:
-            rate, _, var_small, mu_eff = beta_jump_params(model.beta)
-            mu, sig = mu_eff, math.sqrt(var_small)
-            jumper = _beta_jumper(model.beta, cfg.dt)
-    else:
-        raise TypeError(f"no simulation engine for {type(model).__name__}")
+        return _run_cl(model, ev.law, cfg, start, b, a_arr, want_gint, batch_filter)
+    equiv = model.brownian_equivalent()
+    if equiv is not None:
+        mu, sig, jumper = equiv.mu, equiv.sigma, None
+    else:  # BetaFamily(beta < 2)
+        _, _, var_small, mu_eff = beta_jump_params(model.beta)
+        mu, sig = mu_eff, math.sqrt(var_small)
+        jumper = _beta_jumper(model.beta, cfg.dt)
     if exact_crossings and jumper is not None:
         raise ValueError("exact_crossings requires a jump-free diffusion route")
     block = INFIMUM_BLOCK if infimum_mode else BLOCK
@@ -750,9 +750,7 @@ def sample_infimum(model: LevyModel, cfg: McConfig, step: float | None = None) -
     are exact up to the barrier passage, which bounds their cutoff bias
     by tail_eps.
     """
-    if isinstance(model, BrownianDrift) or (
-        isinstance(model, BetaFamily) and model.brownian_equivalent() is not None
-    ):
+    if model.brownian_equivalent() is not None:
         cfg = dataclasses.replace(cfg, dt=step if step is not None else INFIMUM_STEP)
     elif step is not None:
         cfg = dataclasses.replace(cfg, dt=step)

@@ -14,13 +14,16 @@ infimum is finite and the last zero of the path is a proper random time:
   beta in (1, 2].  At beta = 2 this is exactly BrownianDrift(1, sqrt(2)).
 
 Downstream code consumes models through a small surface: ``psi`` and its
-first two derivatives at 0+, the right inverse ``phi`` of psi, the pair of
-derivatives of phi at 0+, and a static ``profile`` of model facts (drift,
+first two derivatives at 0+, the right inverse ``phi`` of psi, the law of
+the depth of the all-time infimum (``infimum_law``, one object of ``laws``
+per family), the Brownian motion the model equals, if any
+(``brownian_equivalent``), and a static ``profile`` of model facts (drift,
 variation class, mass of the infimum law at zero).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import math
 from abc import ABC, abstractmethod
@@ -28,6 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
+
+from .laws import BetaLaw, ExpMixtureLaw
 
 __all__ = [
     "Variation",
@@ -95,8 +100,22 @@ class LevyModel(ABC):
         """(psi'(0+), psi''(0+))."""
 
     @abstractmethod
+    def infimum_law(self) -> ExpMixtureLaw | BetaLaw:
+        """The law F = psi'(0+) W of the depth of the all-time infimum."""
+
+    def brownian_equivalent(self) -> BrownianDrift | None:
+        """The BrownianDrift with the same law, or None."""
+        return None
+
     def profile(self) -> ModelProfile:
-        """Static model facts; cheap to call repeatedly."""
+        """Static model facts; cheap to call repeatedly.  Paths have finite
+        variation exactly when the infimum law has an atom at 0, and then
+        F(0) = psi'(0+)/drift."""
+        p1, p2 = self.psi_derivatives()
+        f0 = self.infimum_law().cdf(0.0)
+        if f0 > 0.0:
+            return ModelProfile(p1, p2, Variation.FINITE, p1 / f0, f0)
+        return ModelProfile(p1, p2, Variation.INFINITE, None, f0)
 
     @abstractmethod
     def params_dict(self) -> dict:
@@ -145,15 +164,6 @@ class LevyModel(ABC):
                 x = x_new
         raise ArithmeticError(f"phi({q}) did not converge to residual {res_tol}")
 
-    def phi_derivs0(self) -> tuple[float, float]:
-        """(phi'(0+), phi''(0+)) from the derivatives of psi at 0+.
-
-        Differentiating psi(phi(q)) = q twice at q = 0 gives
-        phi'(0) = 1/psi'(0+) and phi''(0) = -psi''(0+)/psi'(0+)^3.
-        """
-        p1, p2 = self.psi_derivatives()
-        return 1.0 / p1, -p2 / p1**3
-
 
 @dataclass(frozen=True)
 class BrownianDrift(LevyModel):
@@ -182,14 +192,11 @@ class BrownianDrift(LevyModel):
     def psi_derivatives(self):
         return self.mu, self.sigma**2
 
-    def profile(self):
-        return ModelProfile(
-            psi_prime0=self.mu,
-            psi_double_prime0=self.sigma**2,
-            variation=Variation.INFINITE,
-            drift=None,
-            f0=0.0,
-        )
+    def infimum_law(self):
+        return ExpMixtureLaw(1.0, 2.0 * self.mu / self.sigma**2)
+
+    def brownian_equivalent(self):
+        return self
 
     def params_dict(self):
         return {"kind": self.kind, "mu": self.mu, "sigma": self.sigma}
@@ -229,14 +236,8 @@ class CramerLundberg(LevyModel):
         # psi''(theta) = 2 lam rho / (rho + theta)^3, so psi''(0+) = 2 lam / rho^2
         return self.mu - self.lam / self.rho, 2.0 * self.lam / self.rho**2
 
-    def profile(self):
-        return ModelProfile(
-            psi_prime0=self.mu - self.lam / self.rho,
-            psi_double_prime0=2.0 * self.lam / self.rho**2,
-            variation=Variation.FINITE,
-            drift=self.mu,
-            f0=1.0 - self.lam / (self.mu * self.rho),
-        )
+    def infimum_law(self):
+        return ExpMixtureLaw(self.lam / (self.mu * self.rho), self.rho - self.lam / self.mu)
 
     def params_dict(self):
         return {"kind": self.kind, "mu": self.mu, "lam": self.lam, "rho": self.rho}
@@ -249,8 +250,10 @@ class BetaFamily(LevyModel):
     The Gamma-ratio is evaluated as theta * exp(L(theta)) with
     L(theta) = lgamma(theta+beta) - lgamma(theta+1) - lgamma(beta),
     which is finite at theta = 0.  For theta + 1 >= 20 the lgamma
-    difference is summed as its Stirling series: the direct difference of
-    two values of size theta log theta loses about log10(theta) digits.
+    difference is summed as its Stirling series, and psi' uses the
+    derivative of that series: the direct differences of lgamma (size
+    theta log theta) and of digamma (size log theta) lose about
+    log10(theta) digits.
     """
 
     beta: float
@@ -275,9 +278,20 @@ class BetaFamily(LevyModel):
         out = theta * np.exp(self._log_ratio(theta))
         return out if out.ndim else float(out)
 
+    def _log_ratio_prime(self, theta):
+        z, a = theta + 1.0, self.beta - 1.0
+        # digamma(z + a) - digamma(z), the derivative of the shift above:
+        # the direct difference cancels to 0 once z passes about 1e16
+        zs = np.maximum(z, _STIRLING_FROM)
+        slope = np.log1p(a / zs) + a / (2.0 * zs) / (zs + a)
+        for k, c in enumerate(_STIRLING, start=1):
+            slope += c * (1 - 2 * k) * ((zs + a) ** (-2 * k) - zs ** (-2 * k))
+        direct = special.digamma(z + a) - special.digamma(z)
+        return np.where(z >= _STIRLING_FROM, slope, direct)
+
     def psi_prime(self, theta):
         theta = np.asarray(theta, float)
-        lp = special.digamma(theta + self.beta) - special.digamma(theta + 1.0)
+        lp = self._log_ratio_prime(theta)
         out = np.exp(self._log_ratio(theta)) * (1.0 + theta * lp)
         return out if out.ndim else float(out)
 
@@ -287,20 +301,13 @@ class BetaFamily(LevyModel):
         p2 = 2.0 * (special.digamma(self.beta) - special.digamma(1.0))
         return 1.0, float(p2)
 
-    def profile(self):
-        p1, p2 = self.psi_derivatives()
-        return ModelProfile(
-            psi_prime0=p1,
-            psi_double_prime0=p2,
-            variation=Variation.INFINITE,
-            drift=None,
-            f0=0.0,
-        )
+    def infimum_law(self):
+        return BetaLaw(self.beta)
 
     def params_dict(self):
         return {"kind": self.kind, "beta": self.beta}
 
-    def brownian_equivalent(self) -> BrownianDrift | None:
+    def brownian_equivalent(self):
         """At beta = 2, psi(theta) = theta^2 + theta: BrownianDrift(1, sqrt(2))."""
         if self.beta == 2.0:
             return BrownianDrift(mu=1.0, sigma=math.sqrt(2.0))
@@ -310,10 +317,7 @@ class BetaFamily(LevyModel):
 def model_from_dict(d: dict) -> LevyModel:
     """Rebuild a model from its ``params_dict`` echo (used by the CLI)."""
     kind = d.get("kind")
-    if kind == "bm":
-        return BrownianDrift(mu=float(d["mu"]), sigma=float(d["sigma"]))
-    if kind == "cl":
-        return CramerLundberg(mu=float(d["mu"]), lam=float(d["lam"]), rho=float(d["rho"]))
-    if kind == "beta":
-        return BetaFamily(beta=float(d["beta"]))
+    for cls in (BrownianDrift, CramerLundberg, BetaFamily):
+        if cls.kind == kind:
+            return cls(**{f.name: float(d[f.name]) for f in dataclasses.fields(cls)})
     raise ValueError(f"unknown model kind {kind!r}")

@@ -6,12 +6,9 @@ function W characterises exit problems, and
     inf_cdf(x) = psi'(0+) * W(x) = P(-inf_{t>=0} X_t <= x)
 
 is the distribution function of the depth of the all-time infimum started
-from 0.  All three supported models admit closed forms:
-
-    BrownianDrift(mu, sigma):  W(x) = (1 - exp(-2 mu x / sigma^2)) / mu
-    CramerLundberg(mu, lam, rho):
-        W(x) = (1 - r exp(-k x)) / psi'(0+),  r = lam/(mu rho), k = rho - lam/mu
-    BetaFamily(beta):  W(x) = (1 - exp(-x))^(beta - 1)
+from 0.  The closed forms of every family live in ``laws``, on the law
+object each model names with ``LevyModel.infimum_law``; this module scales
+them into W and W'.
 
 ``gain(x) = 2*inf_cdf(x) - 1`` is the pointwise expected payoff density of
 the stopping problem: negative where the path is more likely than not to
@@ -24,66 +21,29 @@ import math
 
 import numpy as np
 
-from .models import BetaFamily, BrownianDrift, CramerLundberg, LevyModel
+from .models import BrownianDrift, LevyModel
 
 __all__ = ["ScaleEvaluator"]
 
 
-def _scalar_or_array(x, out):
-    return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
-
-
 class ScaleEvaluator:
     """Evaluates W, W', the q-scale function (Brownian case), and the
-    infimum law for one model.  Accepts scalars or numpy arrays."""
+    infimum law ``law`` of one model.  Accepts scalars or numpy arrays."""
 
     def __init__(self, model: LevyModel):
         self.model = model
+        self.law = model.infimum_law()
         self.profile = model.profile()
-        if isinstance(model, BrownianDrift):
-            self._rate = 2.0 * model.mu / model.sigma**2
-        elif isinstance(model, CramerLundberg):
-            self._ratio = model.lam / (model.mu * model.rho)
-            self._rate = model.rho - model.lam / model.mu
-        elif isinstance(model, BetaFamily):
-            self._rate = 1.0
-        else:  # pragma: no cover - closed model family
-            raise TypeError(f"unsupported model {type(model).__name__}")
 
     # -- scale function -------------------------------------------------
 
     def w(self, x):
-        """W(x); identically 0 on x < 0.  W(0) = 1/mu for CramerLundberg
-        (finite variation), 0 for the other families."""
-        m = self.model
-        xa = np.asarray(x, float)
-        neg = xa < 0.0
-        xp = np.where(neg, 0.0, xa)
-        if isinstance(m, BrownianDrift):
-            vals = -np.expm1(-self._rate * xp) / m.mu
-        elif isinstance(m, CramerLundberg):
-            vals = (1.0 - self._ratio * np.exp(-self._rate * xp)) / self.profile.psi_prime0
-        else:
-            vals = (-np.expm1(-xp)) ** (m.beta - 1.0)
-        out = np.where(neg, 0.0, vals)
-        return _scalar_or_array(x, out)
+        """W = inf_cdf/psi'(0+): 0 on x < 0, and W(0) = 1/mu for CramerLundberg."""
+        return self.law.cdf(x) / self.profile.psi_prime0
 
     def w_prime(self, x):
         """dW/dx for x > 0.  Raises on x <= 0, where W is flat or jumps."""
-        m = self.model
-        xa = np.asarray(x, float)
-        if np.any(xa <= 0.0):
-            raise ValueError("w_prime is defined for x > 0 only")
-        if isinstance(m, BrownianDrift):
-            out = (2.0 / m.sigma**2) * np.exp(-self._rate * xa)
-        elif isinstance(m, CramerLundberg):
-            out = (
-                self._ratio * self._rate * np.exp(-self._rate * xa)
-                / self.profile.psi_prime0
-            )
-        else:
-            out = (m.beta - 1.0) * (-np.expm1(-xa)) ** (m.beta - 2.0) * np.exp(-xa)
-        return _scalar_or_array(x, out)
+        return self.law.pdf(x) / self.profile.psi_prime0
 
     def w_q_brownian(self, x, q: float):
         """q-scale function for the Brownian model.
@@ -104,58 +64,26 @@ class ScaleEvaluator:
         vals = (np.exp((d - m.mu) * xp / m.sigma**2)
                 - np.exp(-(d + m.mu) * xp / m.sigma**2)) / d
         out = np.where(pos, vals, 0.0)
-        return _scalar_or_array(x, out)
+        return float(out) if np.ndim(x) == 0 else out
 
     # -- infimum law ----------------------------------------------------
 
     def inf_cdf(self, x):
-        """P(-inf X <= x) = psi'(0+) W(x), in closed form per model."""
-        m = self.model
-        xa = np.asarray(x, float)
-        neg = xa < 0.0
-        xp = np.where(neg, 0.0, xa)
-        if isinstance(m, BrownianDrift):
-            vals = -np.expm1(-self._rate * xp)
-        elif isinstance(m, CramerLundberg):
-            vals = 1.0 - self._ratio * np.exp(-self._rate * xp)
-        else:
-            vals = (-np.expm1(-xp)) ** (m.beta - 1.0)
-        out = np.where(neg, 0.0, vals)
-        return _scalar_or_array(x, out)
+        """P(-inf X <= x) = psi'(0+) W(x)."""
+        return self.law.cdf(x)
 
     def inf_cdf_quantile(self, p: float) -> float:
         """Smallest x with inf_cdf(x) >= p, for p in [0, 1)."""
-        if not 0.0 <= p < 1.0:
-            raise ValueError(f"quantile requires p in [0, 1), got {p!r}")
-        m = self.model
-        if isinstance(m, BrownianDrift):
-            return -math.log1p(-p) / self._rate
-        if isinstance(m, CramerLundberg):
-            if p <= self.profile.f0:
-                return 0.0
-            return math.log(self._ratio / (1.0 - p)) / self._rate
-        return -math.log1p(-p ** (1.0 / (m.beta - 1.0)))
+        return self.law.quantile(p)
 
     def gain(self, x):
         """2*inf_cdf(x) - 1; equals -1 on x < 0."""
-        out = 2.0 * np.asarray(self.inf_cdf(x), float) - 1.0
-        return _scalar_or_array(x, out)
+        return 2.0 * self.inf_cdf(x) - 1.0
 
     def x0(self) -> float:
-        """Median of the infimum law: smallest x with inf_cdf(x) >= 1/2.
-
-        Closed-form inversion in every family; for CramerLundberg the atom
-        at 0 can already carry half the mass, in which case x0 = 0.
-        """
-        m = self.model
-        if isinstance(m, BrownianDrift):
-            return math.log(2.0) / self._rate
-        if isinstance(m, CramerLundberg):
-            if self.profile.f0 >= 0.5:
-                return 0.0
-            return math.log(2.0 * self._ratio) / self._rate
-        return -math.log1p(-0.5 ** (1.0 / (m.beta - 1.0)))
+        """Median of the infimum law; 0 when the atom at 0 holds half the mass."""
+        return self.law.quantile(0.5)
 
     def decay_rate(self) -> float:
         """Exponential decay rate of 1 - inf_cdf; sets the tail scale."""
-        return self._rate
+        return self.law.k

@@ -84,6 +84,8 @@ def solve_a_star(ev: ScaleEvaluator, tol: float = DEFAULT_ROOT_TOL) -> OptimalRu
     to within tol times the bracket, so a* has the same relative precision
     at every scale.
     """
+    if not (math.isfinite(tol) and 0.0 < tol < 1.0):
+        raise ValueError(f"root tolerance must lie in (0, 1), got {tol!r}")
     prof = ev.profile
     eg0 = prof.psi_double_prime0 / prof.psi_prime0**2
     table = build_table(ev)

@@ -257,6 +257,23 @@ def test_simulate_bad_tail_eps_exits_2(capsys):
     assert rc == 2
 
 
+def test_simulate_refuses_runaway_step_count(capsys):
+    # dt = 1e-300 would need about 3e303 steps per path; refused before the
+    # first block
+    assert main([
+        "simulate", "--model", "bm", "--quantity", "expected-g",
+        "--paths", "2", "--dt", "1e-300",
+    ]) == 2
+    assert "steps per path" in capsys.readouterr().err
+
+
+def test_solve_bad_tol_exits_2(capsys):
+    for tol in ("inf", "nan", "0", "1", "-1e-10"):
+        assert main(["solve", "--model", "bm", f"--tol={tol}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "root tolerance" in captured.err
+
+
 def test_verify_passes_cramer_lundberg(capsys):
     rc, out = run(capsys, "verify", "--model", "cl", "--paths", "4000", "--seed", "1")
     assert rc == 0

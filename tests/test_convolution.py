@@ -9,23 +9,26 @@ from lastzero.convolution import (
     conv_analytic,
     conv_cdf,
     conv_numeric,
-    exp_mixture_params,
 )
+from lastzero.laws import ExpMixtureLaw
 from lastzero.models import BetaFamily, BrownianDrift, CramerLundberg
 from lastzero.scale import ScaleEvaluator
 
 
 def test_exp_mixture_params():
-    assert exp_mixture_params(ScaleEvaluator(BrownianDrift(1.0, 1.0))) == (1.0, 2.0)
-    r, k = exp_mixture_params(ScaleEvaluator(CramerLundberg(2.0, 1.0, 1.0)))
-    assert r == pytest.approx(0.5) and k == pytest.approx(0.5)
-    with pytest.raises(ValueError):
-        exp_mixture_params(ScaleEvaluator(BetaFamily(1.5)))
+    law = ScaleEvaluator(BrownianDrift(1.0, 1.0)).law
+    assert (law.r, law.k) == (1.0, 2.0)
+    law = ScaleEvaluator(CramerLundberg(2.0, 1.0, 1.0)).law
+    assert law.r == pytest.approx(0.5) and law.k == pytest.approx(0.5)
+    # the Beta family's law has no exponential-mixture form
+    assert not isinstance(ScaleEvaluator(BetaFamily(1.5)).law, ExpMixtureLaw)
 
 
 def test_analytic_matches_quadrature():
-    for m in (BrownianDrift(1.0, 1.0), CramerLundberg(2.0, 1.0, 1.0),
-              CramerLundberg(2.5, 1.2, 1.0)):
+    # BM(30, 1) has a steep scale (k = 60), CL(1.05, 1, 1) a load near 1
+    for m in (BrownianDrift(1.0, 1.0), BrownianDrift(30.0, 1.0),
+              CramerLundberg(2.0, 1.0, 1.0), CramerLundberg(2.5, 1.2, 1.0),
+              CramerLundberg(1.05, 1.0, 1.0)):
         ev = ScaleEvaluator(m)
         for x in np.linspace(0.0, 8.0, 21):
             assert conv_numeric(ev, float(x)) == pytest.approx(

@@ -184,3 +184,22 @@ def test_beta_psi_large_theta_matches_mpmath():
             with mpmath.workdps(30):
                 ref = float(t * mpmath.gamma(t + b) / mpmath.gamma(t + 1) / mpmath.gamma(b))
             assert m.psi(theta) == pytest.approx(ref, rel=5e-14)
+
+
+def test_beta_phi_newton_converges_at_large_q(monkeypatch):
+    # psi' from the derivative of the Stirling series keeps Newton quadratic
+    # where the digamma difference cancels (theta beyond about 1e16)
+    calls = []
+    psi = BetaFamily.psi
+
+    def counted(self, theta):
+        calls.append(theta)
+        return psi(self, theta)
+
+    monkeypatch.setattr(BetaFamily, "psi", counted)
+    m = BetaFamily(1.5)
+    for q in (1e100, 1e300):
+        calls.clear()
+        x = m.phi(q)
+        assert len(calls) <= 25
+        assert abs(psi(m, x) - q) <= 1e-12 * q

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lastzero.convolution import build_table, conv_cdf, exp_mixture_params
+from lastzero.convolution import build_table, conv_cdf
 from lastzero.models import BetaFamily, BrownianDrift, CramerLundberg
 from lastzero.scale import ScaleEvaluator
 from lastzero.stopping import solve
@@ -80,7 +80,7 @@ def test_beta_cum_integral_matches_mpmath(beta, x):
 @given(r=st.one_of(st.just(1.0), CL_RATIOS), log10_a=LOG10_A_STAR)
 def test_mixture_a_star_scales_with_decay_rate(r, log10_a):
     ev, rule = solve(mixture_model(r, log10_a))
-    r_model, k = exp_mixture_params(ev)
+    r_model, k = ev.law.r, ev.law.k
     with mpmath.workdps(30):
         xi = float(mixture_xi_mp(r_model))
     assert rule.a_star * k == pytest.approx(xi, rel=1e-9)
@@ -107,3 +107,18 @@ def test_a_star_nondecreasing_in_beta(b1, b2):
     _, rule_lo = solve(BetaFamily(lo))
     _, rule_hi = solve(BetaFamily(hi))
     assert rule_lo.a_star <= rule_hi.a_star * (1.0 + 1e-9)
+
+
+@PROPERTY
+@given(
+    beta=BETAS,
+    theta=st.sampled_from((3.0, 19.5, 1e3, 1e10, 1e16, 1e100, 1e300)),
+)
+def test_beta_psi_prime_matches_mpmath(beta, theta):
+    # the digamma difference of psi' needs about log10(theta) extra digits
+    with mpmath.workdps(400):
+        t, b = mpmath.mpf(theta), mpmath.mpf(beta)
+        log_ratio = mpmath.loggamma(t + b) - mpmath.loggamma(t + 1) - mpmath.loggamma(b)
+        slope = mpmath.digamma(t + b) - mpmath.digamma(t + 1)
+        ref = float(mpmath.exp(log_ratio) * (1 + t * slope))
+    assert BetaFamily(beta).psi_prime(theta) == pytest.approx(ref, rel=1e-13)

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -151,3 +152,19 @@ def test_decay_rate():
     assert ScaleEvaluator(BrownianDrift(1.0, 1.0)).decay_rate() == pytest.approx(2.0)
     assert ScaleEvaluator(CramerLundberg(2.0, 1.0, 1.0)).decay_rate() == pytest.approx(0.5)
     assert ScaleEvaluator(BetaFamily(1.5)).decay_rate() == pytest.approx(1.0)
+
+
+def test_median_is_the_half_quantile():
+    for m in MODELS:
+        ev = ScaleEvaluator(m)
+        assert ev.x0() == ev.inf_cdf_quantile(0.5)
+
+
+def test_inf_cdf_small_x_matches_mpmath():
+    # F = -expm1(-k x) in the mixture form keeps every digit at small x
+    x = 1e-12
+    with mpmath.workdps(30):
+        bm_ref = float(-mpmath.expm1(-2 * mpmath.mpf(x)))
+        beta_ref = float(mpmath.sqrt(-mpmath.expm1(-mpmath.mpf(x))))
+    assert ScaleEvaluator(BrownianDrift(1.0, 1.0)).inf_cdf(x) == pytest.approx(bm_ref, rel=1e-14)
+    assert ScaleEvaluator(BetaFamily(1.5)).inf_cdf(x) == pytest.approx(beta_ref, rel=1e-14)

@@ -186,6 +186,15 @@ def test_value_guards():
     assert V_a_at(ev, rule.table, 0.7, 2.0) == 0.0
 
 
+def test_root_tolerance_guards():
+    # a tolerance of 1 or more ends the root solve anywhere in the bracket
+    for tol in (math.inf, math.nan, 0.0, -1e-10, 1.0):
+        with pytest.raises(ValueError):
+            solve(BM, tol=tol)
+        with pytest.raises(ValueError):
+            solve(CramerLundberg(4.0, 1.0, 1.0), tol=tol)
+
+
 def test_expected_g_values():
     # E_0(g) = psi''(0+)/psi'(0+)^2
     assert expected_g(BM) == pytest.approx(1.0, abs=1e-14)

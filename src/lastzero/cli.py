@@ -285,18 +285,15 @@ def _cmd_simulate(args) -> int:
         a_list = [float(a) for a in args.a] if args.a else [default_a()]
         reports = estimate_mean_abs_error_grid(model, cfg, a_list)
     elif quantity == "expected-g":
-        reports = [estimate_expected_g(model, cfg, exact_crossings=args.exact_crossings)]
+        reports = [estimate_expected_g(model, cfg)]
     elif quantity == "passage":
         a_list = [float(a) for a in args.a] if args.a else [default_a()]
-        reports = [
-            estimate_passage_time(model, cfg, a, exact_crossings=args.exact_crossings)
-            for a in a_list
-        ]
+        reports = [estimate_passage_time(model, cfg, a) for a in a_list]
     elif quantity == "value":
         a = float(args.a[0]) if args.a else default_a()
         reports = [estimate_value(model, cfg, a, x=args.x)]
     elif quantity == "laplace":
-        reports = [estimate_laplace_g(model, cfg, args.q, exact_crossings=args.exact_crossings)]
+        reports = [estimate_laplace_g(model, cfg, args.q)]
     elif quantity == "pair-median":
         med, sums = infimum_pair_sum_median(model, cfg, step=args.inf_step)
         reports = [
@@ -467,12 +464,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--dt", type=float, default=1e-3, help="Euler step (grid families)")
     sp.add_argument("--tail-eps", type=float, default=1e-3, help="barrier tail mass")
     sp.add_argument("--inf-step", type=float, help="bridge step for infimum sampling")
-    sp.add_argument(
-        "--exact-crossings",
-        action="store_true",
-        help="no effect on bm and beta 2, whose steps always use the bridge law "
-        "for zero dips and passages; refused for beta < 2",
-    )
     _add_io_args(sp, "csv")
     sp.set_defaults(func=_cmd_simulate)
 

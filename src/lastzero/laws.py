@@ -52,8 +52,8 @@ _GAMMA_ORDERS = np.array([1.0, 2.0, 3.0])
 
 class _Law:
     """Argument handling shared by the families, each of which defines
-    ``_cdf``, ``_pdf``, ``_h`` and ``_cum_h`` on arrays of x >= 0 and
-    ``_quantile`` on p in [0, 1)."""
+    ``_cdf``, ``_pdf``, ``_h`` and ``_cum_h`` on arrays of x >= 0,
+    ``_quantile`` on p in [0, 1), and the float ``mass_at_zero`` = F(0)."""
 
     def _at(self, f, x):
         xa = np.asarray(x, float)
@@ -94,6 +94,7 @@ class ExpMixtureLaw(_Law):
     def __init__(self, r: float, k: float):
         self.r = r
         self.k = k
+        self.mass_at_zero = float(1.0 - r)
 
     def _cdf(self, x):
         return (1.0 - self.r) - self.r * np.expm1(-self.k * x)
@@ -129,6 +130,7 @@ class BetaLaw(_Law):
     """
 
     k = 1.0
+    mass_at_zero = 0.0
 
     def __init__(self, beta: float):
         self.beta = beta

@@ -37,6 +37,14 @@ Scheme by family:
   off the grid points (there is no bridge law).  Intended for soft
   (several-standard-error) cross-checks only.
 
+Both engines share one batch driver: ``_Batch`` holds a batch's per-path
+state (position, clock, last zero, infimum, and per level the passage
+time, gain integral and a done flag), and one passage search finds, per
+block, the first step or claim segment whose running maximum passes each
+sorted level, b included where paths run to it.  A run whose paths would
+take more than ``MAX_STEPS_PER_PATH`` steps or claims on average is
+refused before its first block.
+
 Reproducibility contract: paths are organised in batches of ``BATCH``,
 the unit of ``batch_filter``.  The event engine gives batch j the stream
 ``Philox(key=base_seed).jumped(j)`` and draws full-width blocks.  The grid
@@ -90,10 +98,13 @@ INFIMUM_BLOCK = 128  # shorter blocks for the coarse-step infimum sampler
 # from a level reaches it with probability below exp(-2 BRIDGE_REACH) < 2^-53
 BRIDGE_REACH = 19.0
 EVENT_BLOCK = 64  # jump events drawn per block (CramerLundberg)
+# up to this many levels, one count per level finds the passages faster
+# than an offset searchsorted
+FEW_LEVELS = 16
 BETA_JUMP_CUTOFF = 1e-2  # |y| below this is folded into the Gaussian proxy
 INFIMUM_STEP = 0.02  # default bridge step for Brownian infimum sampling
-# the grid engine refuses a dt whose expected path length to its last level
-# exceeds this many steps (a default BM(1,1) run to b takes about 3.5e3)
+# a run is refused when its paths would take more Euler steps or claims than
+# this on average (BM(1,1) to b: about 3.5e3 steps; CL(1.3,1,1): about 100 claims)
 MAX_STEPS_PER_PATH = 1e7
 
 
@@ -109,8 +120,10 @@ class McConfig:
     the infimum law: thresholds must lie below it, and paths without an
     exact continuation are simulated up to their passage above it.
     ``dt`` is the Euler step for the grid-based families (ignored by the
-    exact CramerLundberg engine); a run refuses, with ValueError, a dt that
-    would take more than ``MAX_STEPS_PER_PATH`` steps per path.
+    exact CramerLundberg engine).  A run raises ValueError when its paths
+    would take more than ``MAX_STEPS_PER_PATH`` on average: Euler steps to
+    the top level, (top - min(start, 0)) / (mu dt), or claims to b,
+    lam (b - min(start, 0)) / psi'(0+).
     """
 
     n_paths: int
@@ -169,6 +182,112 @@ def _batch_gen(base_seed: int, index: int) -> np.random.Generator:
 
 
 # ---------------------------------------------------------------------------
+# batch driver shared by the engines
+# ---------------------------------------------------------------------------
+
+
+def _levels(a_arr: np.ndarray, b: float, with_b: bool):
+    """The thresholds in ascending (stable) order, with b appended when
+    paths run to it, and the rank that maps them back to the input order."""
+    order = np.argsort(a_arr, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(a_arr.size)
+    levels = a_arr[order]
+    return (np.append(levels, b) if with_b else levels), rank
+
+
+def _batches(cfg: McConfig, start: float, na: int, batch_filter):
+    """The result arrays, and the (first path, path count) of each batch to
+    run; filtered-out paths keep g = tau = gint = 0 and inf_depth = -start."""
+    n = cfg.n_paths
+    out = {"g": np.zeros(n), "tau": np.zeros((n, na)),
+           "inf_depth": np.full(n, -float(start)), "gint": np.zeros((n, na))}
+    return out, [(lo, min(BATCH, n - lo)) for lo in range(0, n, BATCH)
+                 if batch_filter is None or lo // BATCH in batch_filter]
+
+
+def _block_cap(per_path: float, unit: str, width: int) -> int:
+    """Blocks of ``width`` steps or claims a batch may take: 60 times the
+    expected path length plus a margin.  Refuses, with ValueError, a run
+    whose paths would need more than MAX_STEPS_PER_PATH of them."""
+    if not per_path <= MAX_STEPS_PER_PATH:
+        raise ValueError(f"paths need {per_path:.3g} {unit} per path, over {MAX_STEPS_PER_PATH:g}")
+    return int(60.0 * per_path / width) + 200
+
+
+def _first_passages(levels: np.ndarray, runmax: np.ndarray) -> np.ndarray:
+    """Per row and sorted level, the first column whose running maximum
+    passes the level (runmax > level), or the column count if none does."""
+    R, K = runmax.shape
+    nl = levels.size
+    if nl <= FEW_LEVELS:
+        first = np.empty((R, nl), np.intp)
+        for j, v in enumerate(levels):
+            first[:, j] = (runmax <= v).sum(axis=1)
+        return first
+    # one searchsorted over the running maximum's level counts, offset per
+    # row so they sort globally
+    off = np.arange(R)[:, None] * (nl + 1)
+    passed = np.searchsorted(levels, runmax) + off
+    first = np.searchsorted(passed.ravel(), (off + np.arange(nl)).ravel(), side="right")
+    return first.reshape(R, nl) - np.arange(R)[:, None] * K
+
+
+def _last_true(mask: np.ndarray):
+    """The rows of ``mask`` with a True entry, and the column of their last one."""
+    rows = np.flatnonzero(mask.any(axis=1))
+    return rows, mask.shape[1] - 1 - np.argmax(mask[rows, ::-1], axis=1)
+
+
+class _Batch:
+    """State of one batch's paths, one row each: position ``x``, ``clock``
+    (a step count on the grid, a time for the event engine), whether it is
+    ``alive``, the last zero ``g`` and infimum ``inf`` so far, and per
+    level its passage time ``tau``, ``gint`` up to it and whether it is
+    ``done``; ``gint_cum`` is the gain integral so far."""
+
+    def __init__(self, rows, live, start, levels, cap, clock=float):
+        hit0 = start > levels  # levels already exceeded at t = 0
+        self.x = np.full(rows, float(start))
+        self.clock = np.zeros(rows, clock)
+        self.alive = np.zeros(rows, bool)
+        self.alive[:live] = not hit0[-1]  # else every path continues from t = 0
+        self.g = np.zeros(rows)
+        self.inf = np.full(rows, float(start))
+        self.tau = np.zeros((rows, levels.size))
+        self.gint = np.zeros((rows, levels.size))
+        self.done = np.tile(hit0, (rows, 1))
+        self.gint_cum = np.zeros(rows)
+        self.top, self.cap, self.blocks = levels[-1], cap, 0
+
+    def running(self) -> np.ndarray:
+        """The live rows; counts a block for them and raises ArithmeticError
+        once the cap is passed."""
+        idx = np.flatnonzero(self.alive)
+        if idx.size:
+            self.blocks += 1
+            if self.blocks > self.cap:
+                raise ArithmeticError(f"paths did not pass level {self.top:g} in {self.cap} blocks")
+        return idx
+
+    def passages(self, idx, first, K):
+        """(row in idx, level, column) of each level that row idx[row]
+        passes for the first time in this block; marks them done."""
+        r, l = np.nonzero((first < K) & ~self.done[idx])
+        self.done[idx[r], l] = True
+        return r, l, first[r, l]
+
+    def store(self, out, lo, m, rank):
+        """Copy the first m rows into the results from path lo on, with the
+        threshold columns back in input order (an appended b is dropped)."""
+        sl = slice(lo, lo + m)
+        out["g"][sl] = self.g[:m]
+        out["inf_depth"][sl] = -self.inf[:m]
+        out["tau"][sl] = self.tau[:m, rank]
+        out["gint"][sl] = self.gint[:m, rank]
+
+
+# ---------------------------------------------------------------------------
 # grid engine: Brownian motion with drift, optionally plus compound jumps
 # ---------------------------------------------------------------------------
 
@@ -197,35 +316,13 @@ def _bridge_refine(ext, cand, P, X, inc, gens, live, gbound, var_step, sign):
     ext.ravel()[flat] = 0.5 * (P.ravel()[flat] + X.ravel()[flat] + sign * spread)
 
 
-def _run_grid(
-    cfg: McConfig,
-    start: float,
-    b: float,
-    a_arr: np.ndarray,
-    mu_rate: float,
-    sig: float,
-    gain_fn,
-    jumper,
-    want_gint: bool,
-    batch_filter=None,
-    block: int = BLOCK,
-):
-    n, na, dt = cfg.n_paths, a_arr.size, cfg.dt
+def _run_grid(cfg: McConfig, start: float, b: float, a_arr: np.ndarray, mu_rate: float,
+              sig: float, gain_fn, jumper, want_gint: bool, batch_filter=None, block=BLOCK):
+    dt = cfg.dt
     exact = jumper is None  # bridge events and exact continuation
-    g_out = np.zeros(n)
-    inf_out = np.full(n, float(start))
-    tau_out = np.zeros((n, na))
-    gint_out = np.zeros((n, na))
-    # the levels whose first passages are resolved, in ascending order; paths
-    # stop at the last one (the top threshold, or b on the jump route and
-    # when there are no thresholds)
-    order = np.argsort(a_arr, kind="stable")
-    rank = np.empty_like(order)
-    rank[order] = np.arange(na)
-    levels = a_arr[order]
-    if not exact or na == 0:
-        levels = np.append(levels, b)
-    nl = levels.size
+    # paths stop at the top level: the top threshold, or b on the jump route
+    # and when there are no thresholds
+    levels, rank = _levels(a_arr, b, not exact or a_arr.size == 0)
     drift = mu_rate * dt
     sigstep = sig * math.sqrt(dt)
     var_step = sig * sig * dt
@@ -234,45 +331,22 @@ def _run_grid(
     gap = np.diff(levels) > reach
     near_lo = np.append(levels[0], levels[1:][gap]) - reach
     near_hi = np.append(levels[:-1][gap], levels[-1])
-    exp_steps = (levels[-1] - min(start, 0.0)) / max(mu_rate, 1e-12) / dt
-    if exp_steps > MAX_STEPS_PER_PATH:
-        raise ValueError(
-            f"dt = {dt:g} needs {exp_steps:.3g} steps per path, over {MAX_STEPS_PER_PATH:g}")
-    cap_blocks = int(60.0 * exp_steps / block) + 200
-    hit0 = start > levels  # levels already exceeded at t = 0
+    steps = (levels[-1] - min(start, 0.0)) / max(mu_rate, 1e-12) / dt
+    cap = _block_cap(steps, "steps", block)
+    out, todo = _batches(cfg, start, a_arr.size, batch_filter)
     jgrid = np.arange(block)
     # one generator per group slot of a batch, moved to each batch's group
     # streams by setting its state, which is five times cheaper than a new one
-    gens = [_batch_gen(cfg.base_seed, 0) for _ in range(-(-min(n, BATCH) // GROUP))]
+    gens = [_batch_gen(cfg.base_seed, 0) for _ in range(-(-min(cfg.n_paths, BATCH) // GROUP))]
     fresh = gens[0].bit_generator.state
-    n_batches = (n + BATCH - 1) // BATCH
-    for bi in range(n_batches):
-        if batch_filter is not None and bi not in batch_filter:
-            continue
-        lo = bi * BATCH
-        m = min(BATCH, n - lo)
+    for lo, m in todo:
         ng = -(-m // GROUP)
         rows = ng * GROUP  # the last group's padding rows run too
         for j in range(ng):
             fresh["state"]["counter"] = np.array([0, 0, lo // GROUP + j, 0], np.uint64)
             gens[j].bit_generator.state = fresh
-        x = np.full(rows, float(start))
-        steps = np.zeros(rows, np.int64)
-        alive = np.full(rows, not hit0[-1])  # else every path continues from t = 0
-        g_cur = np.zeros(rows)
-        inf_cur = np.full(rows, float(start))
-        tau_t = np.zeros((rows, nl))
-        gint_at = np.zeros((rows, nl))
-        tau_done = np.tile(hit0, (rows, 1))
-        gint_cum = np.zeros(rows)
-        blocks = 0
-        while alive.any():
-            blocks += 1
-            if blocks > cap_blocks:
-                raise ArithmeticError(
-                    f"paths did not cross level {levels[-1]:g} within {cap_blocks * block} steps"
-                )
-            idx = np.flatnonzero(alive)
+        s = _Batch(rows, rows, start, levels, cap, np.int64)
+        while (idx := s.running()).size:
             R = idx.size
             # live rows of one group are contiguous; each group draws from
             # its own stream, for its live rows only
@@ -289,9 +363,9 @@ def _run_grid(
                         gens[gi], gbound[j + 1] - gbound[j], block
                     )
             X = np.cumsum(inc, axis=1)
-            X += x[idx, None]
+            X += s.x[idx, None]
             P = np.empty_like(X)
-            P[:, 0] = x[idx]
+            P[:, 0] = s.x[idx]
             P[:, 1:] = X[:, :-1]
             if exact:
                 # passages: step maxima from the bridge law, drawn only on
@@ -301,13 +375,7 @@ def _run_grid(
                 _bridge_refine(high, cand, P, X, inc, gens, live, gbound, var_step, 1.0)
             else:
                 high = X
-            # first step past each level: one searchsorted over the running
-            # maximum's level counts, offset per row so they sort globally
-            passed = _levels_below(levels, np.maximum.accumulate(high, axis=1))
-            passed += (np.arange(R) * (nl + 1))[:, None]
-            queries = (np.arange(R) * (nl + 1))[:, None] + np.arange(nl)
-            first = np.searchsorted(passed.ravel(), queries.ravel(), side="right")
-            first = first.reshape(R, nl) - (np.arange(R) * block)[:, None]
+            first = _first_passages(levels, np.maximum.accumulate(high, axis=1))
             kstop = first[:, -1]  # == block when the path goes on
             stop = np.flatnonzero(kstop < block)
             low = np.minimum(P, X) if exact else X.copy()
@@ -317,42 +385,37 @@ def _run_grid(
                 # zero dips and the infimum: step minima from the bridge law,
                 # drawn only on steps within reach above 0 or above the
                 # lowest point so far
-                ref = np.minimum(inf_cur[idx], low.min(axis=1))[:, None]
+                ref = np.minimum(s.inf[idx], low.min(axis=1))[:, None]
                 cand = (low < ref + reach) | ((low > 0.0) & (low < reach))
                 _bridge_refine(low, cand, P, X, inc, gens, live, gbound, var_step, -1.0)
-            t0 = steps[idx]
-            dip = low <= 0.0
-            rws = np.flatnonzero(dip.any(axis=1))
-            if rws.size:
-                jlast = block - 1 - np.argmax(dip[rws, ::-1], axis=1)
-                g_cur[idx[rws]] = (t0[rws] + jlast + 1) * dt
-            inf_cur[idx] = np.minimum(inf_cur[idx], low.min(axis=1))
-            r_new, l_new = np.nonzero((first < block) & ~tau_done[idx])
-            k_new = first[r_new, l_new]
-            tau_t[idx[r_new], l_new] = (t0[r_new] + k_new + 1) * dt
-            tau_done[idx[r_new], l_new] = True
+            t0 = s.clock[idx]
+            rws, jlast = _last_true(low <= 0.0)
+            s.g[idx[rws]] = (t0[rws] + jlast + 1) * dt
+            s.inf[idx] = np.minimum(s.inf[idx], low.min(axis=1))
+            r, l, k = s.passages(idx, first, block)
+            s.tau[idx[r], l] = (t0[r] + k + 1) * dt
             if want_gint:
                 cg = np.cumsum(gain_fn(P), axis=1) * dt
-                gint_at[idx[r_new], l_new] = gint_cum[idx[r_new]] + cg[r_new, k_new]
-                gint_cum[idx] += cg[:, -1]
-            x[idx] = X[:, -1]
-            steps[idx] += block
+                s.gint[idx[r], l] = s.gint_cum[idx[r]] + cg[r, k]
+                s.gint_cum[idx] += cg[:, -1]
+            s.x[idx] = X[:, -1]
+            s.clock[idx] += block
             if stop.size:
                 rs = idx[stop]
-                x[rs] = X[stop, kstop[stop]]
-                steps[rs] = t0[stop] + kstop[stop] + 1
-                alive[rs] = False
+                s.x[rs] = X[stop, kstop[stop]]
+                s.clock[rs] = t0[stop] + kstop[stop] + 1
+                s.alive[rs] = False
         if exact:
             # strong Markov property at the stop: from x the future infimum
             # is x - E with E ~ Exp(2 mu / sigma^2); the path returns to 0
             # iff x - E <= 0, after an inverse Gaussian hitting time, and
             # the last zero of a fresh path from 0 is Gamma(1/2, 2 sigma^2 / mu^2)
-            t_stop = steps * dt
+            t_stop = s.clock * dt
             for j, gen in enumerate(gens[:ng]):
-                s = slice(j * GROUP, (j + 1) * GROUP)
-                xs = x[s]
+                sl = slice(j * GROUP, (j + 1) * GROUP)
+                xs = s.x[sl]
                 e = gen.standard_exponential(GROUP) * (0.5 * sig * sig / mu_rate)
-                inf_cur[s] = np.minimum(inf_cur[s], xs - e)
+                s.inf[sl] = np.minimum(s.inf[sl], xs - e)
                 ret = np.flatnonzero(e >= xs)
                 if ret.size:
                     xr = np.abs(xs[ret])
@@ -361,14 +424,9 @@ def _run_grid(
                     pos = shape > 0.0  # from x = 0 the return is immediate
                     hit[pos] = gen.wald(xr[pos] / mu_rate, shape[pos])
                     last = gen.gamma(0.5, 2.0 * (sig / mu_rate) ** 2, ret.size)
-                    g_cur[s][ret] = t_stop[s][ret] + hit + last
-        sl = slice(lo, lo + m)
-        g_out[sl] = g_cur[:m]
-        inf_out[sl] = inf_cur[:m]
-        if na:
-            tau_out[sl] = tau_t[:m, rank]
-            gint_out[sl] = gint_at[:m, rank]
-    return {"g": g_out, "tau": tau_out, "inf_depth": -inf_out, "gint": gint_out}
+                    s.g[sl][ret] = t_stop[sl][ret] + hit + last
+        s.store(out, lo, m, rank)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -376,18 +434,9 @@ def _run_grid(
 # ---------------------------------------------------------------------------
 
 
-def _run_cl(
-    model: CramerLundberg,
-    law,
-    cfg: McConfig,
-    start: float,
-    b: float,
-    a_arr: np.ndarray,
-    want_gint: bool,
-    batch_filter=None,
-):
+def _run_cl(model: CramerLundberg, law, cfg: McConfig, start: float, b: float,
+            a_arr: np.ndarray, want_gint: bool, batch_filter=None):
     lam, rho, mu = model.lam, model.rho, model.mu
-    p1 = mu - lam / rho
     r, k = law.r, law.k
 
     def psi_gain(v):
@@ -397,105 +446,50 @@ def _run_cl(
         up = vp + (2.0 * r / k) * (np.exp(-k * vp) - 1.0)
         return np.where(v >= 0.0, up, -v)
 
-    n = cfg.n_paths
-    na = a_arr.size
     K = EVENT_BLOCK
-    g_out = np.zeros(n)
-    inf_out = np.full(n, float(start))
-    tau_out = np.zeros((n, na))
-    gint_out = np.zeros((n, na))
-    exp_events = lam * (b - min(start, 0.0)) / p1
-    cap_blocks = int(60.0 * exp_events / K) + 200
-    hit0 = start > a_arr
-    psi_gain_a = psi_gain(a_arr) if na else None
-    n_batches = (n + BATCH - 1) // BATCH
-    for bi in range(n_batches):
-        if batch_filter is not None and bi not in batch_filter:
-            continue
-        gen = _batch_gen(cfg.base_seed, bi)
-        lo = bi * BATCH
-        m = min(BATCH, n - lo)
-        x = np.full(BATCH, float(start))
-        tseg = np.zeros(BATCH)
-        alive = np.zeros(BATCH, bool)
-        alive[:m] = True
-        g_cur = np.zeros(BATCH)
-        inf_cur = np.full(BATCH, float(start))
-        tau_t = np.zeros((BATCH, na))
-        gint_at = np.zeros((BATCH, na))
-        tau_done = np.zeros((BATCH, na), bool)
-        tau_done[:, hit0] = True
-        gint_cum = np.zeros(BATCH)
-        segs = np.arange(K)
-        blocks = 0
-        while alive.any():
+    # every path runs to b: the last level
+    levels, rank = _levels(a_arr, b, True)
+    psi_gain_lv = psi_gain(levels)
+    cap = _block_cap(lam * (b - min(start, 0.0)) / (mu - lam / rho), "claims", K)
+    out, todo = _batches(cfg, start, a_arr.size, batch_filter)
+    segs = np.arange(K)
+    for lo, m in todo:
+        gen = _batch_gen(cfg.base_seed, lo // BATCH)
+        s = _Batch(BATCH, m, start, levels, cap)
+        while (idx := s.running()).size:
             waits = gen.standard_exponential((BATCH, K)) / lam
             sizes = gen.standard_exponential((BATCH, K)) / rho
-            blocks += 1
-            if blocks > cap_blocks:
-                raise ArithmeticError(
-                    f"paths did not cross barrier {b:g} within {cap_blocks * K} jumps"
-                )
-            idx = np.flatnonzero(alive)
-            mrows = idx.size
             T = np.cumsum(waits[idx], axis=1)
             CJ = np.cumsum(sizes[idx], axis=1)
-            xr = x[idx][:, None]
+            xr = s.x[idx][:, None]
             L = xr + mu * T - (CJ - sizes[idx])  # peak just before each jump
             A = L - sizes[idx]  # position just after each jump
-            ML = np.maximum.accumulate(L, axis=1)
-            jb = (ML <= b).sum(axis=1)  # index of the death segment; K if none
+            first = _first_passages(levels, np.maximum.accumulate(L, axis=1))
+            jb = first[:, -1]  # the segment that passes b; K if none
             Aprev = np.concatenate([xr, A[:, :-1]], axis=1)
-            Tprev = np.concatenate([np.zeros((mrows, 1)), T[:, :-1]], axis=1)
-            segv = segs[None, :]
+            Tprev = np.concatenate([np.zeros((idx.size, 1)), T[:, :-1]], axis=1)
             # last upcrossing of zero: segment rises from Aprev < 0 through 0
-            crossm = (Aprev < 0.0) & (L > 0.0) & (segv <= jb[:, None])
-            anyc = crossm.any(axis=1)
-            if anyc.any():
-                jl = K - 1 - np.argmax(crossm[:, ::-1], axis=1)
-                rows = np.flatnonzero(anyc)
-                g_cur[idx[rows]] = (
-                    tseg[idx[rows]] + Tprev[rows, jl[rows]] - Aprev[rows, jl[rows]] / mu
-                )
-            inf_cur[idx] = np.minimum(
-                inf_cur[idx], np.where(segv < jb[:, None], A, np.inf).min(axis=1)
+            rws, jl = _last_true((Aprev < 0.0) & (L > 0.0) & (segs <= jb[:, None]))
+            s.g[idx[rws]] = s.clock[idx[rws]] + Tprev[rws, jl] - Aprev[rws, jl] / mu
+            s.inf[idx] = np.minimum(
+                s.inf[idx], np.where(segs < jb[:, None], A, np.inf).min(axis=1)
             )
+            # each level is passed on the segment rising from Aprev at speed mu
+            rp, lp, kp = s.passages(idx, first, K)
+            rows = idx[rp]
+            s.tau[rows, lp] = s.clock[rows] + Tprev[rp, kp] + (levels[lp] - Aprev[rp, kp]) / mu
             if want_gint:
                 cgs = np.cumsum((psi_gain(L) - psi_gain(Aprev)) / mu, axis=1)
-            for ia in range(na):
-                pend = np.flatnonzero(~tau_done[idx, ia])
-                if pend.size == 0:
-                    continue
-                ja = (ML[pend] <= a_arr[ia]).sum(axis=1)
-                hitrel = np.flatnonzero(ja < K)
-                if hitrel.size == 0:
-                    continue
-                hs = pend[hitrel]
-                jah = ja[hitrel]
-                rows = idx[hs]
-                tau_t[rows, ia] = (
-                    tseg[rows] + Tprev[hs, jah] + (a_arr[ia] - Aprev[hs, jah]) / mu
-                )
-                if want_gint:
-                    prior = np.where(jah > 0, cgs[hs, np.maximum(jah - 1, 0)], 0.0)
-                    gint_at[rows, ia] = gint_cum[rows] + prior + (
-                        psi_gain_a[ia] - psi_gain(Aprev[hs, jah])
-                    ) / mu
-                tau_done[rows, ia] = True
-            if want_gint:
-                gint_cum[idx] += cgs[:, -1]
-            x[idx] = A[:, -1]
-            tseg[idx] += T[:, -1]
-            died = jb < K
-            if died.any():
-                alive[idx[died]] = False
-        sl = slice(lo, lo + m)
-        g_out[sl] = g_cur[:m]
-        inf_out[sl] = inf_cur[:m]
-        if na:
-            tau_out[sl] = tau_t[:m]
-            gint_out[sl] = gint_at[:m]
-    return {"g": g_out, "tau": tau_out, "inf_depth": -inf_out, "gint": gint_out}
+                prior = np.where(kp > 0, cgs[rp, np.maximum(kp - 1, 0)], 0.0)
+                s.gint[rows, lp] = s.gint_cum[rows] + prior + (
+                    psi_gain_lv[lp] - psi_gain(Aprev[rp, kp])
+                ) / mu
+                s.gint_cum[idx] += cgs[:, -1]
+            s.x[idx] = A[:, -1]
+            s.clock[idx] += T[:, -1]
+            s.alive[idx[jb < K]] = False
+        s.store(out, lo, m, rank)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -596,17 +590,18 @@ def simulate_paths(
     The diffusion route always detects zero dips and passages from the
     bridge law, so ``exact_crossings`` changes nothing there; the jump
     route has no bridge law and refuses it.  ``infimum_mode`` selects the
-    shorter block of the coarse-step infimum sampler.
+    shorter block of the coarse-step infimum sampler.  ``start`` and the
+    levels must be finite.
     """
     ev = ScaleEvaluator(model)
     b = resolve_barrier(ev, cfg.tail_eps)
     a_arr = np.asarray(tuple(a_levels), float)
+    if not (math.isfinite(start) and np.isfinite(a_arr).all()):
+        raise ValueError("start and thresholds must be finite")
     if start >= b:
         raise ValueError(f"start {start:g} must lie below the barrier {b:g}")
     if a_arr.size and np.max(a_arr) >= b:
-        raise ValueError(
-            f"thresholds must lie below the barrier {b:g}; lower tail_eps"
-        )
+        raise ValueError(f"thresholds must lie below the barrier {b:g}; lower tail_eps")
     if isinstance(model, CramerLundberg):
         # the event engine is exact already
         return _run_cl(model, ev.law, cfg, start, b, a_arr, want_gint, batch_filter)
@@ -718,15 +713,7 @@ def estimate_passage_time(
 def estimate_value(model: LevyModel, cfg: McConfig, a: float, x: float = 0.0) -> McReport:
     """Mean of int_0^tau_a gain(X_s) ds started from x (the value V_a(x))."""
     if x >= a:
-        return McReport(
-            quantity="value",
-            estimate=0.0,
-            std_error=0.0,
-            n_paths=cfg.n_paths,
-            base_seed=cfg.base_seed,
-            a=float(a),
-            x=float(x),
-        )
+        return McReport("value", 0.0, 0.0, cfg.n_paths, cfg.base_seed, a=float(a), x=float(x))
     res = simulate_paths(model, cfg, start=x, a_levels=(a,), want_gint=True)
     return _mean_report("value", res["gint"][:, 0], cfg, a=float(a), x=float(x))
 
@@ -735,8 +722,8 @@ def estimate_laplace_g(
     model: LevyModel, cfg: McConfig, q: float, exact_crossings: bool = False
 ) -> McReport:
     """Mean of exp(-q g), from 0."""
-    if q < 0:
-        raise ValueError(f"q must be >= 0, got {q!r}")
+    if not (math.isfinite(q) and q >= 0):
+        raise ValueError(f"q must be finite and >= 0, got {q!r}")
     res = simulate_paths(model, cfg, exact_crossings=exact_crossings)
     return _mean_report("laplace_g", np.exp(-q * res["g"]), cfg, q=float(q))
 

@@ -112,7 +112,7 @@ class LevyModel(ABC):
         variation exactly when the infimum law has an atom at 0, and then
         F(0) = psi'(0+)/drift."""
         p1, p2 = self.psi_derivatives()
-        f0 = self.infimum_law().cdf(0.0)
+        f0 = self.infimum_law().mass_at_zero
         if f0 > 0.0:
             return ModelProfile(p1, p2, Variation.FINITE, p1 / f0, f0)
         return ModelProfile(p1, p2, Variation.INFINITE, None, f0)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 
 import pytest
 from scipy import integrate
@@ -265,6 +266,35 @@ def test_simulate_refuses_runaway_step_count(capsys):
         "--paths", "2", "--dt", "1e-300",
     ]) == 2
     assert "steps per path" in capsys.readouterr().err
+
+
+def test_simulate_refuses_runaway_claim_count(capsys):
+    # the event engine's paths would need about 1e300 and 7e14 claims each
+    # (a start far below 0, and load 1 - 1e-7); refused before the first block
+    for argv in (
+        ["--quantity", "value", "--x=-1e300", "--paths", "100"],
+        ["--mu", "1.0000001", "--quantity", "mae", "--paths", "16"],
+    ):
+        t0 = time.perf_counter()
+        assert main(["simulate", "--model", "cl", *argv]) == 2
+        assert time.perf_counter() - t0 < 10.0
+        captured = capsys.readouterr()
+        assert captured.out == "" and "claims per path" in captured.err
+
+
+def test_simulate_non_finite_inputs_exit_2(capsys):
+    for argv in (
+        ["--model", "cl", "--a", "nan"],
+        ["--model", "cl", "--quantity", "passage", "--a", "nan"],
+        ["--model", "bm", "--a", "nan"],
+        ["--model", "bm", "--quantity", "value", "--x", "nan"],
+        ["--model", "cl", "--quantity", "value", "--x", "nan"],
+        ["--model", "bm", "--quantity", "laplace", "--q", "nan"],
+        ["--model", "cl", "--quantity", "laplace", "--q", "inf"],
+    ):
+        assert main(["simulate", *argv, "--paths", "16"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "finite" in captured.err
 
 
 def test_solve_bad_tol_exits_2(capsys):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from lastzero import mc
 from lastzero.mc import (
     BATCH,
     BETA_JUMP_CUTOFF,
@@ -88,15 +89,48 @@ def test_many_thresholds_bounded_memory():
     # passages are found per level from shared per-step arrays, so memory
     # does not grow with the number of thresholds times the block size
     levels = tuple(np.linspace(0.0, 3.0, 200))
-    tracemalloc.start()
-    try:
-        res = simulate_paths(BM, _coarse(BATCH, 2), a_levels=levels, exact_crossings=True)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 64 * 2**20
-    # every passage time is nondecreasing in the level
-    assert np.all(np.diff(res["tau"], axis=1) >= 0.0)
+    for model in (BM, CL):
+        tracemalloc.start()
+        try:
+            res = simulate_paths(model, _coarse(BATCH, 2), a_levels=levels, exact_crossings=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        # every passage time is nondecreasing in the level
+        assert np.all(np.diff(res["tau"], axis=1) >= 0.0)
+
+
+@pytest.mark.parametrize("model", [BM, CL], ids=["bm", "cl"])
+def test_unsorted_levels_match_sorted(model):
+    # the engines sort the levels and scatter the columns back: thresholds
+    # given out of order and twice give the sorted call's columns
+    levels = (0.9, 0.2, 1.5, 0.2, 0.0)
+    order = np.argsort(levels, kind="stable")
+    cfg = _coarse(1100, 4)
+    res = simulate_paths(model, cfg, a_levels=levels, want_gint=True)
+    ref = simulate_paths(model, cfg, a_levels=np.sort(levels), want_gint=True)
+    for key in ("g", "inf_depth"):
+        assert np.array_equal(res[key], ref[key])
+    for key in ("tau", "gint"):
+        assert np.array_equal(res[key][:, order], ref[key])
+    assert np.array_equal(res["tau"][:, 1], res["tau"][:, 3])
+
+
+@pytest.mark.parametrize("nl", [1, 16, 17, 200])
+def test_first_passage_routes_agree(nl, monkeypatch):
+    # counting per level and the offset searchsorted give the first column
+    # whose running maximum passes each level, ties not counting as passed
+    rng = np.random.default_rng(nl)
+    runmax = np.maximum.accumulate(rng.standard_normal((300, 64)).cumsum(axis=1), axis=1)
+    levels = np.sort(np.concatenate([
+        rng.uniform(-3.0, 12.0, nl - min(nl, 3)), runmax[[0, 5, 9], [0, 30, 63]][: nl]
+    ]))
+    ref = np.array([[np.argmax(row > v) if row[-1] > v else row.size for v in levels]
+                    for row in runmax])
+    for few in (0, 10**6):
+        monkeypatch.setattr(mc, "FEW_LEVELS", few)
+        assert np.array_equal(mc._first_passages(levels, runmax), ref)
 
 
 def test_sample_path_events_guards():
@@ -146,8 +180,10 @@ def test_laplace_estimate_brownian():
     cfg = McConfig(n_paths=4000, base_seed=6, dt=5e-3)
     rep = estimate_laplace_g(BM, cfg, q=1.0, exact_crossings=True)
     assert abs(rep.estimate - 1.0 / math.sqrt(3.0)) < 4.0 * rep.std_error + 0.01
-    with pytest.raises(ValueError):
-        estimate_laplace_g(BM, cfg, q=-1.0)
+    for q in (-1.0, math.nan, math.inf):
+        for model in (BM, CL):
+            with pytest.raises(ValueError):
+                estimate_laplace_g(model, cfg, q=q)
 
 
 def test_infimum_law_brownian():
@@ -239,6 +275,15 @@ def test_simulation_guards():
         simulate_paths(BM, cfg, a_levels=(50.0,))
     with pytest.raises(ValueError):
         simulate_paths(BetaFamily(1.5), cfg, exact_crossings=True)
+    for model in (BM, CL):
+        for bad in (dict(start=math.nan), dict(start=-math.inf),
+                    dict(a_levels=(0.5, math.nan)), dict(a_levels=(math.inf,))):
+            with pytest.raises(ValueError, match="finite"):
+                simulate_paths(model, cfg, **bad)
+    # paths that would take more than MAX_STEPS_PER_PATH claims on average
+    for model, start in ((CL, -1e300), (CramerLundberg(1.0000001, 1.0, 1.0), 0.0)):
+        with pytest.raises(ValueError, match="claims per path"):
+            simulate_paths(model, cfg, start=start)
     # one path gives no standard error, so the estimators refuse it
     with pytest.raises(ValueError):
         estimate_expected_g(CL, McConfig(n_paths=1, base_seed=1))

@@ -10,6 +10,7 @@ from lastzero.models import (
     BetaFamily,
     BrownianDrift,
     CramerLundberg,
+    ModelProfile,
     Variation,
     model_from_dict,
 )
@@ -149,6 +150,23 @@ def test_profile_f0_atom():
     assert BrownianDrift(1.0, 1.0).profile().f0 == 0.0
     assert CramerLundberg(2.0, 1.0, 1.0).profile().f0 == pytest.approx(0.5, abs=1e-14)
     assert CramerLundberg(4.0, 1.0, 1.0).profile().f0 == pytest.approx(0.75, abs=1e-14)
+
+
+@pytest.mark.parametrize("model", [
+    BrownianDrift(1.0, 1.0), CramerLundberg(2.0, 1.0, 1.0), CramerLundberg(4.0, 1.0, 1.0),
+    CramerLundberg(1.3, 1.0, 1.0), BetaFamily(1.5), BetaFamily(2.0),
+], ids=["bm", "cl2", "cl4", "cl13", "beta15", "beta2"])
+def test_profile_reads_mass_at_zero(model):
+    # the law's float mass at 0 gives the same profile as evaluating F(0)
+    law = model.infimum_law()
+    f0 = law.cdf(0.0)
+    assert type(law.mass_at_zero) is float and law.mass_at_zero == f0
+    p1, p2 = model.psi_derivatives()
+    if f0 > 0.0:
+        expected = ModelProfile(p1, p2, Variation.FINITE, p1 / f0, f0)
+    else:
+        expected = ModelProfile(p1, p2, Variation.INFINITE, None, f0)
+    assert model.profile() == expected
 
 
 def test_parameter_validation():

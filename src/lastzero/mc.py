@@ -98,9 +98,6 @@ INFIMUM_BLOCK = 128  # shorter blocks for the coarse-step infimum sampler
 # from a level reaches it with probability below exp(-2 BRIDGE_REACH) < 2^-53
 BRIDGE_REACH = 19.0
 EVENT_BLOCK = 64  # jump events drawn per block (CramerLundberg)
-# up to this many levels, one count per level finds the passages faster
-# than an offset searchsorted
-FEW_LEVELS = 16
 BETA_JUMP_CUTOFF = 1e-2  # |y| below this is folded into the Gaussian proxy
 INFIMUM_STEP = 0.02  # default bridge step for Brownian infimum sampling
 # a run is refused when its paths would take more Euler steps or claims than
@@ -217,20 +214,12 @@ def _block_cap(per_path: float, unit: str, width: int) -> int:
 
 def _first_passages(levels: np.ndarray, runmax: np.ndarray) -> np.ndarray:
     """Per row and sorted level, the first column whose running maximum
-    passes the level (runmax > level), or the column count if none does."""
-    R, K = runmax.shape
-    nl = levels.size
-    if nl <= FEW_LEVELS:
-        first = np.empty((R, nl), np.intp)
-        for j, v in enumerate(levels):
-            first[:, j] = (runmax <= v).sum(axis=1)
-        return first
-    # one searchsorted over the running maximum's level counts, offset per
-    # row so they sort globally
-    off = np.arange(R)[:, None] * (nl + 1)
-    passed = np.searchsorted(levels, runmax) + off
-    first = np.searchsorted(passed.ravel(), (off + np.arange(nl)).ravel(), side="right")
-    return first.reshape(R, nl) - np.arange(R)[:, None] * K
+    passes the level (runmax > level), or the column count if none does:
+    the count of columns whose running maximum is still at or below it."""
+    first = np.empty((runmax.shape[0], levels.size), np.intp)
+    for j, v in enumerate(levels):
+        first[:, j] = (runmax <= v).sum(axis=1)
+    return first
 
 
 def _last_true(mask: np.ndarray):
@@ -316,8 +305,19 @@ def _bridge_refine(ext, cand, P, X, inc, gens, live, gbound, var_step, sign):
     ext.ravel()[flat] = 0.5 * (P.ravel()[flat] + X.ravel()[flat] + sign * spread)
 
 
-def _run_grid(cfg: McConfig, start: float, b: float, a_arr: np.ndarray, mu_rate: float,
-              sig: float, gain_fn, jumper, want_gint: bool, batch_filter=None, block=BLOCK):
+def _run_grid(
+    cfg: McConfig,
+    start: float,
+    b: float,
+    a_arr: np.ndarray,
+    mu_rate: float,
+    sig: float,
+    gain_fn,
+    jumper,
+    want_gint: bool,
+    batch_filter=None,
+    block: int = BLOCK,
+):
     dt = cfg.dt
     exact = jumper is None  # bridge events and exact continuation
     # paths stop at the top level: the top threshold, or b on the jump route
@@ -434,8 +434,16 @@ def _run_grid(cfg: McConfig, start: float, b: float, a_arr: np.ndarray, mu_rate:
 # ---------------------------------------------------------------------------
 
 
-def _run_cl(model: CramerLundberg, law, cfg: McConfig, start: float, b: float,
-            a_arr: np.ndarray, want_gint: bool, batch_filter=None):
+def _run_cl(
+    model: CramerLundberg,
+    law,
+    cfg: McConfig,
+    start: float,
+    b: float,
+    a_arr: np.ndarray,
+    want_gint: bool,
+    batch_filter=None,
+):
     lam, rho, mu = model.lam, model.rho, model.mu
     r, k = law.r, law.k
 
@@ -601,7 +609,9 @@ def simulate_paths(
     if start >= b:
         raise ValueError(f"start {start:g} must lie below the barrier {b:g}")
     if a_arr.size and np.max(a_arr) >= b:
-        raise ValueError(f"thresholds must lie below the barrier {b:g}; lower tail_eps")
+        raise ValueError(
+            f"thresholds must lie below the barrier {b:g}; lower tail_eps"
+        )
     if isinstance(model, CramerLundberg):
         # the event engine is exact already
         return _run_cl(model, ev.law, cfg, start, b, a_arr, want_gint, batch_filter)
@@ -713,7 +723,15 @@ def estimate_passage_time(
 def estimate_value(model: LevyModel, cfg: McConfig, a: float, x: float = 0.0) -> McReport:
     """Mean of int_0^tau_a gain(X_s) ds started from x (the value V_a(x))."""
     if x >= a:
-        return McReport("value", 0.0, 0.0, cfg.n_paths, cfg.base_seed, a=float(a), x=float(x))
+        return McReport(
+            quantity="value",
+            estimate=0.0,
+            std_error=0.0,
+            n_paths=cfg.n_paths,
+            base_seed=cfg.base_seed,
+            a=float(a),
+            x=float(x),
+        )
     res = simulate_paths(model, cfg, start=x, a_levels=(a,), want_gint=True)
     return _mean_report("value", res["gint"][:, 0], cfg, a=float(a), x=float(x))
 

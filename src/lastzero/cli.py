@@ -54,11 +54,6 @@ _MODEL_DEFAULTS = {
     "cl": {"mu": 2.0, "lam": 1.0, "rho": 1.0},
     "beta": {"beta": 2.0},
 }
-_MODEL_FIELDS = {
-    "bm": ("mu", "sigma"),
-    "cl": ("mu", "lam", "rho"),
-    "beta": ("beta",),
-}
 
 
 _MAX_CURVE_ROWS = 10**6
@@ -80,49 +75,57 @@ def _build_model(args):
             raise ValueError("config file must hold a JSON object")
     if args.model:
         spec["kind"] = args.model
-    kind = spec.get("kind")
-    if kind not in _MODEL_FIELDS:
+    kind = spec.pop("kind", None)
+    if not isinstance(kind, str) or kind not in _MODEL_DEFAULTS:
         raise ValueError(
             f"unknown or missing model kind {kind!r}; pass --model bm|cl|beta"
         )
-    flags = {
-        "mu": args.mu,
-        "sigma": args.sigma,
-        "lam": args.lam,
-        "rho": args.rho,
-        "beta": args.beta,
-    }
-    merged = dict(_MODEL_DEFAULTS[kind])
-    merged.update({k: v for k, v in spec.items() if k != "kind"})
-    merged.update({k: v for k, v in flags.items() if v is not None})
-    extra = sorted(set(merged) - set(_MODEL_FIELDS[kind]))
+    for name in ("mu", "sigma", "lam", "rho", "beta"):
+        if getattr(args, name) is not None:
+            spec[name] = getattr(args, name)
+    extra = sorted(set(spec) - set(_MODEL_DEFAULTS[kind]))
     if extra:
         raise ValueError(f"parameters {extra} do not apply to model {kind!r}")
-    return model_from_dict({"kind": kind, **merged})
+    # JSON true would pass float() as 1.0, and a list or null would crash it
+    for name, value in spec.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"parameter {name!r} must be a number, got {value!r}")
+    return model_from_dict({"kind": kind, **_MODEL_DEFAULTS[kind], **spec})
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", newline="\n") as fh:
+def _write(args, report, header, rows) -> None:
+    """Write ``report`` as JSON, or ``header`` and ``rows`` as CSV.
+
+    ``rows`` is only iterated for CSV; arrays in ``report`` become lists.
+    """
+    if args.format == "json":
+        text = json.dumps(report, sort_keys=True, indent=2, default=np.ndarray.tolist) + "\n"
+    else:
+        lines = [",".join(header)]
+        for row in rows:
+            lines.append(",".join("" if v is None else v if isinstance(v, str) else _fmt(v) for v in row))
+        text = "\n".join(lines) + "\n"
+    if args.out:
+        with open(args.out, "w", newline="\n") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _json_text(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-
-def _csv_text(header, rows) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join("" if v is None else v if isinstance(v, str) else _fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # solve
 # ---------------------------------------------------------------------------
+
+
+def _key_rows(report):
+    """(key, value) rows sorted by key, a nested entry as ``key.sub``."""
+    flat = {}
+    for key, value in report.items():
+        if isinstance(value, dict):
+            flat.update((f"{key}.{sub}", v) for sub, v in value.items())
+        else:
+            flat[key] = value
+    yield from sorted(flat.items())
 
 
 def _cmd_solve(args) -> int:
@@ -147,17 +150,7 @@ def _cmd_solve(args) -> int:
         ),
         "solver": {"root_tol": args.tol},
     }
-    if args.format == "json":
-        _emit(_json_text(report), args.out)
-    else:
-        rows = []
-        for key in sorted(report):
-            if key in ("model", "solver"):
-                for sub in sorted(report[key]):
-                    rows.append((f"{key}.{sub}", report[key][sub]))
-            else:
-                rows.append((key, report[key]))
-        _emit(_csv_text(("key", "value"), rows), args.out)
+    _write(args, report, ("key", "value"), _key_rows(report))
     return 0
 
 
@@ -169,18 +162,10 @@ def _cmd_solve(args) -> int:
 def _cmd_curve(args) -> int:
     model = _build_model(args)
     ev, rule = solve(model, tol=args.tol)
-    if args.a:
-        thresholds = [float(a) for a in args.a]
-        if any(a < 0 for a in thresholds):
-            raise ValueError("thresholds must be >= 0")
-    elif rule.a_star > 0:
-        seen = []
-        for a in (0.5 * rule.a_star, rule.a_star, 1.5 * rule.a_star):
-            if a not in seen:
-                seen.append(a)
-        thresholds = seen
-    else:
-        thresholds = [0.0]
+    # the default 0.5, 1 and 1.5 times a* collapse to one threshold at a* = 0
+    thresholds = args.a or list(dict.fromkeys(f * rule.a_star for f in (0.5, 1.0, 1.5)))
+    if any(a < 0 for a in thresholds):
+        raise ValueError("thresholds must be >= 0")
     xmin = args.xmin if args.xmin is not None else -1.0
     xmax = args.xmax if args.xmax is not None else max(3.0 * rule.a_star, 2.0)
     step = args.step
@@ -193,31 +178,16 @@ def _cmd_curve(args) -> int:
     xs = xmin + step * np.arange(n)
     curve = build_value_curve(ev, rule.table, xs, thresholds)
     labels = [f"V[a={_fmt(a)}]" for a in curve.thresholds]
-    if args.format == "json":
-        report = {
-            "model": model.params_dict(),
-            "a_star": rule.a_star,
-            "thresholds": list(curve.thresholds),
-            "x": curve.x.tolist(),
-            "inf_cdf": curve.inf_cdf.tolist(),
-            "gain": curve.gain.tolist(),
-            "conv": curve.conv.tolist(),
-            "values": {lab: curve.values[i].tolist() for i, lab in enumerate(labels)},
-        }
-        _emit(_json_text(report), args.out)
-    else:
-        header = ["x", "inf_cdf", "gain", "conv", *labels]
-        rows = [
-            (
-                curve.x[j],
-                curve.inf_cdf[j],
-                curve.gain[j],
-                curve.conv[j],
-                *(curve.values[i][j] for i in range(len(labels))),
-            )
-            for j in range(curve.x.size)
-        ]
-        _emit(_csv_text(header, rows), args.out)
+    columns = ("x", "inf_cdf", "gain", "conv")
+    report = {
+        "model": model.params_dict(),
+        "a_star": rule.a_star,
+        "thresholds": curve.thresholds,
+        **{c: getattr(curve, c) for c in columns},
+        "values": dict(zip(labels, curve.values)),
+    }
+    rows = zip(*(report[c] for c in columns), *curve.values)
+    _write(args, report, (*columns, *labels), rows)
     return 0
 
 
@@ -225,6 +195,7 @@ def _cmd_curve(args) -> int:
 # simulate
 # ---------------------------------------------------------------------------
 
+# McReport fields in column order, then the McConfig knobs behind them
 _SIM_HEADER = (
     "quantity",
     "a",
@@ -239,18 +210,19 @@ _SIM_HEADER = (
 )
 
 
-def _report_row(rep, cfg):
-    return (
-        rep.quantity,
-        rep.a,
-        rep.x,
-        rep.q,
-        rep.estimate,
-        rep.std_error,
-        rep.n_paths,
-        rep.base_seed,
-        cfg.dt,
-        cfg.tail_eps,
+def _pair_median(model, cfg) -> McReport:
+    """The pair-sum median of the sampled infima, an estimate of a*."""
+    med, sums = infimum_pair_sum_median(model, cfg)
+    if sums.size < 2:
+        raise ValueError("pair-median needs at least 4 paths for a standard error")
+    return McReport(
+        quantity="pair_median",
+        estimate=med,
+        # the median's asymptotic standard error, sqrt(pi/2) sd/sqrt(n),
+        # taken as if the pair sums were normal
+        std_error=float(1.2533 * sums.std(ddof=1) / math.sqrt(sums.size)),
+        n_paths=cfg.n_paths,
+        base_seed=cfg.base_seed,
     )
 
 
@@ -261,59 +233,41 @@ def _cmd_simulate(args) -> int:
     )
     quantity = args.quantity
     if quantity == "infimum":
-        depths = sample_infimum(model, cfg, step=args.inf_step)
-        if args.format == "json":
-            report = {
-                "model": model.params_dict(),
-                "quantity": "infimum_depth",
-                "n_paths": cfg.n_paths,
-                "base_seed": cfg.base_seed,
-                "depths": depths.tolist(),
-            }
-            _emit(_json_text(report), args.out)
-        else:
-            rows = [(i, d) for i, d in enumerate(depths)]
-            _emit(_csv_text(("path_index", "depth"), rows), args.out)
+        depths = sample_infimum(model, cfg)
+        report = {
+            "model": model.params_dict(),
+            "quantity": "infimum_depth",
+            "n_paths": cfg.n_paths,
+            "base_seed": cfg.base_seed,
+            "depths": depths,
+        }
+        _write(args, report, ("path_index", "depth"), enumerate(depths))
         return 0
 
-    def default_a():
-        _, rule = solve(model)
-        return rule.a_star
+    def thresholds():
+        return args.a or [solve(model)[1].a_star]
 
-    reports = []
     if quantity == "mae":
-        a_list = [float(a) for a in args.a] if args.a else [default_a()]
-        reports = estimate_mean_abs_error_grid(model, cfg, a_list)
+        reports = estimate_mean_abs_error_grid(model, cfg, thresholds())
     elif quantity == "expected-g":
         reports = [estimate_expected_g(model, cfg)]
     elif quantity == "passage":
-        a_list = [float(a) for a in args.a] if args.a else [default_a()]
-        reports = [estimate_passage_time(model, cfg, a) for a in a_list]
+        reports = [estimate_passage_time(model, cfg, a) for a in thresholds()]
     elif quantity == "value":
-        a = float(args.a[0]) if args.a else default_a()
-        reports = [estimate_value(model, cfg, a, x=args.x)]
+        reports = [estimate_value(model, cfg, thresholds()[0], x=args.x)]
     elif quantity == "laplace":
         reports = [estimate_laplace_g(model, cfg, args.q)]
-    elif quantity == "pair-median":
-        med, sums = infimum_pair_sum_median(model, cfg, step=args.inf_step)
-        reports = [
-            McReport(
-                quantity="pair_median",
-                estimate=med,
-                std_error=float(1.2533 * sums.std(ddof=1) / math.sqrt(sums.size)),
-                n_paths=cfg.n_paths,
-                base_seed=cfg.base_seed,
-            )
-        ]
-    if args.format == "json":
-        body = [
-            {k: v for k, v in zip(_SIM_HEADER, _report_row(r, cfg))} for r in reports
-        ]
-        _emit(_json_text({"model": model.params_dict(), "results": body}), args.out)
     else:
-        _emit(
-            _csv_text(_SIM_HEADER, [_report_row(r, cfg) for r in reports]), args.out
-        )
+        reports = [_pair_median(model, cfg)]
+    rows = [
+        (*(getattr(r, f) for f in _SIM_HEADER[:-2]), cfg.dt, cfg.tail_eps)
+        for r in reports
+    ]
+    report = {
+        "model": model.params_dict(),
+        "results": [dict(zip(_SIM_HEADER, row)) for row in rows],
+    }
+    _write(args, report, _SIM_HEADER, rows)
     return 0
 
 
@@ -343,6 +297,11 @@ def _cmd_verify(args) -> int:
             }
         )
 
+    def add_mean(name, samples, target, slack):
+        """A sample mean against its target, within 4 standard errors plus ``slack``."""
+        se = samples.std(ddof=1) / math.sqrt(samples.size)
+        add(name, samples.mean(), target, 4.0 * se + slack)
+
     x1 = model.phi(1.0)
     add("phi_inverts_psi", model.psi(x1), 1.0, 1e-9)
 
@@ -369,21 +328,13 @@ def _cmd_verify(args) -> int:
     a_probe = rule.a_star if rule.a_star > 0 else 1.0
     res = simulate_paths(model, cfg, a_levels=(a_probe,))
     g = res["g"]
-    n = g.size
-    se_g = g.std(ddof=1) / math.sqrt(n)
-    add("mc_mean_g", g.mean(), p2 / p1**2, 4.0 * se_g + 1e-9)
-    tau = res["tau"][:, 0]
-    se_tau = tau.std(ddof=1) / math.sqrt(n)
-    add("mc_mean_passage", tau.mean(), a_probe / p1, 4.0 * se_tau + 1e-9)
-    lap_samples = np.exp(-g)
-    se_lap = lap_samples.std(ddof=1) / math.sqrt(n)
+    add_mean("mc_mean_g", g, p2 / p1**2, 1e-9)
+    add_mean("mc_mean_passage", res["tau"][:, 0], a_probe / p1, 1e-9)
     if isinstance(model, BrownianDrift):
-        lap_ref = laplace_g_brownian(model, 1.0)
-        add("mc_laplace_g", lap_samples.mean(), lap_ref, 4.0 * se_lap)
-    med, sums = infimum_pair_sum_median(model, cfg)
-    se_med = 1.2533 * sums.std(ddof=1) / math.sqrt(sums.size)
+        add_mean("mc_laplace_g", np.exp(-g), laplace_g_brownian(model, 1.0), 0.0)
+    med = _pair_median(model, cfg)
     med_target = rule.a_star if rule.regime is Regime.SMOOTH_FIT else 0.0
-    add("mc_pair_median", med, med_target, max(0.06, 6.0 * se_med))
+    add("mc_pair_median", med.estimate, med_target, max(0.06, 6.0 * med.std_error))
 
     passed = all(c["ok"] for c in checks)
     report = {
@@ -393,14 +344,11 @@ def _cmd_verify(args) -> int:
         "passed": passed,
         "checks": checks,
     }
-    if args.format == "json":
-        _emit(_json_text(report), args.out)
-    else:
-        rows = [
-            (c["name"], "ok" if c["ok"] else "FAIL", c["observed"], c["target"], c["tol"])
-            for c in checks
-        ]
-        _emit(_csv_text(("name", "status", "observed", "target", "tol"), rows), args.out)
+    rows = (
+        (c["name"], "ok" if c["ok"] else "FAIL", c["observed"], c["target"], c["tol"])
+        for c in checks
+    )
+    _write(args, report, ("name", "status", "observed", "target", "tol"), rows)
     return 0 if passed else 1
 
 
@@ -463,7 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--dt", type=float, default=1e-3, help="Euler step (grid families)")
     sp.add_argument("--tail-eps", type=float, default=1e-3, help="barrier tail mass")
-    sp.add_argument("--inf-step", type=float, help="bridge step for infimum sampling")
     _add_io_args(sp, "csv")
     sp.set_defaults(func=_cmd_simulate)
 
@@ -486,7 +433,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:

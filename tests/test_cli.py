@@ -107,6 +107,18 @@ def test_invalid_parameters_exit_2(tmp_path, capsys):
     bad.write_text("{not json")
     rc, _ = run(capsys, "solve", "--model", "bm", "--config", str(bad))
     assert rc == 2
+    # a kind that is not a string, and values that are not JSON numbers
+    for spec in (
+        {"kind": "bm", "mu": [1]},
+        {"kind": "bm", "mu": None},
+        {"kind": ["bm"]},
+        {"kind": "bm", "mu": True},
+    ):
+        bad.write_text(json.dumps(spec))
+        assert main(["solve", "--config", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
+        assert "Traceback" not in captured.err
 
 
 def test_usage_errors_exit_2(capsys):
@@ -248,6 +260,19 @@ def test_simulate_pair_median(capsys):
     assert rows[0]["quantity"] == "pair_median"
     est, se = float(rows[0]["estimate"]), float(rows[0]["std_error"])
     assert abs(est - 1.1661477520733816) < 5.0 * se
+
+
+def test_simulate_pair_median_refuses_fewer_than_two_pairs(capsys):
+    for model, paths in (("cl", "2"), ("cl", "3"), ("bm", "3")):
+        assert main([
+            "simulate", "--model", model, "--quantity", "pair-median", "--paths", paths,
+        ]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "at least 4 paths" in captured.err
+    rc, out = run(capsys, "simulate", "--model", "cl", "--quantity", "pair-median", "--paths", "4")
+    assert rc == 0
+    _, rows = csv_rows(out)
+    assert math.isfinite(float(rows[0]["std_error"]))
 
 
 def test_simulate_bad_tail_eps_exits_2(capsys):

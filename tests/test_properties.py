@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from lastzero.convolution import build_table, conv_cdf
 from lastzero.models import BetaFamily, BrownianDrift, CramerLundberg
 from lastzero.scale import ScaleEvaluator
-from lastzero.stopping import solve
+from lastzero.stopping import V_a_at, solve
 
 # a fixed example sequence and no example database keep runs reproducible;
 # the mpmath oracles are slow, so there is no per-example deadline
@@ -122,3 +122,28 @@ def test_beta_psi_prime_matches_mpmath(beta, theta):
         slope = mpmath.digamma(t + b) - mpmath.digamma(t + 1)
         ref = float(mpmath.exp(log_ratio) * (1 + t * slope))
     assert BetaFamily(beta).psi_prime(theta) == pytest.approx(ref, rel=1e-13)
+
+
+@PROPERTY
+@given(
+    family=st.sampled_from(("mixture", "beta")),
+    r=st.one_of(st.just(1.0), CL_RATIOS),
+    log10_a=LOG10_A_STAR,
+    beta=BETAS,
+    a=st.floats(min_value=0.0, max_value=50.0),
+)
+def test_mean_abs_error_exceeds_gap_of_means(family, r, log10_a, beta, a):
+    # E|g - tau_a| = V_a(0) + E(g) >= |E(g) - E(tau_a)|, with E(g) =
+    # psi''/psi'^2 and E(tau_a) = a/psi'; at a = 0, tau_0 = 0 and they are equal
+    model = mixture_model(r, log10_a) if family == "mixture" else BetaFamily(beta)
+    ev = ScaleEvaluator(model)
+    table = build_table(ev)
+    p1, p2 = model.psi_derivatives()
+    mean_g = p2 / p1**2
+
+    def mae(a):
+        return V_a_at(ev, table, a, 0.0) + mean_g
+
+    gap = abs(mean_g - a / p1)
+    assert mae(a) >= gap - 1e-12 * max(mae(a), gap)
+    assert mae(0.0) == pytest.approx(mean_g, rel=1e-12)

@@ -17,6 +17,7 @@ parameters, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -34,6 +35,7 @@ from .mc import (
     estimate_mean_abs_error_grid,
     estimate_passage_time,
     estimate_value,
+    infimum_config,
     infimum_pair_sum_median,
     sample_infimum,
     simulate_paths,
@@ -86,10 +88,13 @@ def _build_model(args):
     extra = sorted(set(spec) - set(_MODEL_DEFAULTS[kind]))
     if extra:
         raise ValueError(f"parameters {extra} do not apply to model {kind!r}")
-    # JSON true would pass float() as 1.0, and a list or null would crash it
+    # JSON true would pass float() as 1.0, a list or null would crash it, and
+    # an integer beyond the float range would overflow it
     for name, value in spec.items():
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValueError(f"parameter {name!r} must be a number, got {value!r}")
+        if isinstance(value, int) and abs(value) > sys.float_info.max:
+            raise ValueError(f"parameter {name!r} is an integer beyond the float range")
     return model_from_dict({"kind": kind, **_MODEL_DEFAULTS[kind], **spec})
 
 
@@ -258,6 +263,8 @@ def _cmd_simulate(args) -> int:
     elif quantity == "laplace":
         reports = [estimate_laplace_g(model, cfg, args.q)]
     else:
+        # the Brownian infima run at their own step: report it as dt
+        cfg = infimum_config(model, cfg)
         reports = [_pair_median(model, cfg)]
     rows = [
         (*(getattr(r, f) for f in _SIM_HEADER[:-2]), cfg.dt, cfg.tail_eps)
@@ -372,7 +379,10 @@ def _add_io_args(sp, default_format):
     sp.add_argument("--out", help="write output to this file instead of stdout")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged, and
+    the repeatable ``--a`` copies its None default rather than growing it."""
     p = argparse.ArgumentParser(
         prog="lastzero",
         description="optimal threshold rules for predicting the last visit to zero",
@@ -426,9 +436,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:

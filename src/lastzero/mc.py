@@ -20,15 +20,20 @@ Scheme by family:
   its zero dips and the infimum; one more uniform gives its maximum and
   with it the passages over every threshold.  The uniforms are drawn
   only on steps within sqrt(19 sigma^2 dt) of a level that matters (0,
-  the lowest point so far, a threshold): further away the bridge reaches
-  the level with probability below 2^-53.  Events are stamped at the end
-  of their step, a bias of order dt.  A path stops at the step whose
-  maximum passes the top threshold, or b when there are none, and its
-  future is drawn exactly (strong Markov property at the grid point
-  (t, x)): with E ~ Exp(2 mu / sigma^2) the future infimum is x - E, the
-  path returns to 0 iff E >= x, the return takes an inverse Gaussian
-  time with mean |x|/mu and shape x^2/sigma^2, and the last zero after it
-  adds Gamma(1/2, scale 2 sigma^2 / mu^2).  So g carries no tail_eps bias.
+  the lowest point so far, a threshold still pending at the start of the
+  block): further away the bridge reaches the level with probability
+  below 2^-53.  Events are stamped at the end of their step, a bias of
+  order dt.  A path stops at the step whose maximum passes the top
+  threshold or, when there are none, at its first grid point above b (no
+  step maxima are drawn then), and its future is drawn exactly (strong
+  Markov property at the grid point (t, x)): with E ~ Exp(2 mu / sigma^2)
+  the future infimum is x - E, the path returns to 0 iff E >= x, the
+  return takes an inverse Gaussian time with mean |x|/mu and shape
+  x^2/sigma^2, and the last zero after it adds Gamma(1/2, scale
+  2 sigma^2 / mu^2).  So g carries no tail_eps bias, and the infimum is
+  exact at any step: the infimum sampler's default step is INFIMUM_STEP
+  in units of the model's time scale sigma^2/mu^2, so every Brownian
+  model reaches b in the same number of steps.
 * BetaFamily(beta < 2): compound-Poisson approximation on the grid, run
   to b.  Jumps larger than a cutoff are simulated exactly (rejection
   sampling from the jump law), smaller ones are replaced by a Brownian
@@ -78,6 +83,7 @@ __all__ = [
     "resolve_barrier",
     "simulate_paths",
     "sample_path_events",
+    "infimum_config",
     "sample_infimum",
     "infimum_pair_sum_median",
     "estimate_mean_abs_error",
@@ -93,13 +99,15 @@ __all__ = [
 BATCH = 1024  # paths per batch: the unit of batch_filter and of the CL streams
 GROUP = 16  # paths per RNG stream of the grid engine
 BLOCK = 256  # Euler steps drawn per block
-INFIMUM_BLOCK = 128  # shorter blocks for the coarse-step infimum sampler
+INFIMUM_BLOCK = 16  # infimum sampler blocks: its paths reach b in about 4 steps
 # a bridge step whose end points lie further than sqrt(BRIDGE_REACH sigma^2 dt)
 # from a level reaches it with probability below exp(-2 BRIDGE_REACH) < 2^-53
 BRIDGE_REACH = 19.0
 EVENT_BLOCK = 64  # jump events drawn per block (CramerLundberg)
 BETA_JUMP_CUTOFF = 1e-2  # |y| below this is folded into the Gaussian proxy
-INFIMUM_STEP = 0.02  # default bridge step for Brownian infimum sampling
+# default bridge step for Brownian infimum sampling, in units of the model's
+# time scale sigma^2/mu^2: every Brownian model reaches b in as many steps
+INFIMUM_STEP = 1.0
 # a run is refused when its paths would take more Euler steps or claims than
 # this on average (BM(1,1) to b: about 3.5e3 steps; CL(1.3,1,1): about 100 claims)
 MAX_STEPS_PER_PATH = 1e7
@@ -281,13 +289,6 @@ class _Batch:
 # ---------------------------------------------------------------------------
 
 
-def _levels_below(levels: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Number of the sorted ``levels`` strictly below each v."""
-    if levels.size == 1:  # a comparison costs a tenth of a searchsorted
-        return (v > levels[0]).astype(np.intp)
-    return np.searchsorted(levels, v)
-
-
 def _bridge_refine(ext, cand, P, X, inc, gens, live, gbound, var_step, sign):
     """Replace ``ext`` on the candidate steps by the minimum (sign -1) or the
     maximum (sign +1) of the Brownian bridge from P to X over the step.
@@ -323,6 +324,10 @@ def _run_grid(
     # paths stop at the top level: the top threshold, or b on the jump route
     # and when there are no thresholds
     levels, rank = _levels(a_arr, b, not exact or a_arr.size == 0)
+    # step maxima only serve reported passages: without thresholds a path
+    # stops at its first grid point above b, a stopping time too, so the
+    # exact continuation from there keeps its law
+    bridge_max = exact and a_arr.size > 0
     drift = mu_rate * dt
     sigstep = sig * math.sqrt(dt)
     var_step = sig * sig * dt
@@ -367,11 +372,19 @@ def _run_grid(
             P = np.empty_like(X)
             P[:, 0] = s.x[idx]
             P[:, 1:] = X[:, :-1]
-            if exact:
+            if bridge_max:
                 # passages: step maxima from the bridge law, drawn only on
-                # steps whose end points lie within reach below a level
+                # steps whose end points lie within reach below a level still
+                # pending at the start of the block (done levels form a prefix)
                 high = np.maximum(P, X)
-                cand = _levels_below(near_lo, high) > _levels_below(near_hi, high)
+                plo = levels[s.done[idx].sum(axis=1)]
+                cand = high > (plo - reach)[:, None]
+                # one merged interval starts at most at plo - reach, so only its
+                # upper end is left: two comparisons cost a tenth of a searchsorted
+                if near_lo.size == 1:
+                    cand &= high <= near_hi[0]
+                else:
+                    cand &= np.searchsorted(near_lo, high) > np.searchsorted(near_hi, high)
                 _bridge_refine(high, cand, P, X, inc, gens, live, gbound, var_step, 1.0)
             else:
                 high = X
@@ -597,9 +610,9 @@ def simulate_paths(
 
     The diffusion route always detects zero dips and passages from the
     bridge law, so ``exact_crossings`` changes nothing there; the jump
-    route has no bridge law and refuses it.  ``infimum_mode`` selects the
-    shorter block of the coarse-step infimum sampler.  ``start`` and the
-    levels must be finite.
+    route has no bridge law and refuses it.  On the diffusion route
+    ``infimum_mode`` selects the shorter block of the coarse-step infimum
+    sampler.  ``start`` and the levels must be finite.
     """
     ev = ScaleEvaluator(model)
     b = resolve_barrier(ev, cfg.tail_eps)
@@ -624,7 +637,7 @@ def simulate_paths(
         jumper = _beta_jumper(model.beta, cfg.dt)
     if exact_crossings and jumper is not None:
         raise ValueError("exact_crossings requires a jump-free diffusion route")
-    block = INFIMUM_BLOCK if infimum_mode else BLOCK
+    block = INFIMUM_BLOCK if infimum_mode and jumper is None else BLOCK
     return _run_grid(
         cfg, start, b, a_arr, mu, sig, ev.gain, jumper, want_gint, batch_filter, block
     )
@@ -746,20 +759,29 @@ def estimate_laplace_g(
     return _mean_report("laplace_g", np.exp(-q * res["g"]), cfg, q=float(q))
 
 
+def infimum_config(model: LevyModel, cfg: McConfig, step: float | None = None) -> McConfig:
+    """``cfg`` with the step ``sample_infimum`` runs at: ``step`` when given,
+    else INFIMUM_STEP sigma^2/mu^2 of the model's Brownian equivalent, else
+    ``cfg.dt`` (the jump route; the CramerLundberg engine has no step)."""
+    if step is None:
+        equiv = model.brownian_equivalent()
+        if equiv is None:
+            return cfg
+        step = INFIMUM_STEP * (equiv.sigma / equiv.mu) ** 2
+    return dataclasses.replace(cfg, dt=step)
+
+
 def sample_infimum(model: LevyModel, cfg: McConfig, step: float | None = None) -> np.ndarray:
     """Sampled depths of the all-time infimum, one per path.
 
-    For the Brownian route the per-step minimum uses the exact bridge law
-    and the infimum after the barrier passage is drawn exactly, so the
-    default coarse step costs nothing in accuracy.  CramerLundberg infima
-    are exact up to the barrier passage, which bounds their cutoff bias
-    by tail_eps.
+    For the Brownian route the per-step minimum uses the exact bridge law,
+    a path stops at its first grid point above b, and the infimum after it
+    is drawn exactly, so the default coarse step, INFIMUM_STEP in units of
+    the model's time scale sigma^2/mu^2, costs nothing in accuracy; an
+    explicit ``step`` is absolute.  CramerLundberg infima are exact up to
+    the barrier passage, which bounds their cutoff bias by tail_eps.
     """
-    if model.brownian_equivalent() is not None:
-        cfg = dataclasses.replace(cfg, dt=step if step is not None else INFIMUM_STEP)
-    elif step is not None:
-        cfg = dataclasses.replace(cfg, dt=step)
-    res = simulate_paths(model, cfg, infimum_mode=True)
+    res = simulate_paths(model, infimum_config(model, cfg, step), infimum_mode=True)
     return res["inf_depth"]
 
 

@@ -109,19 +109,29 @@ def solve(model: LevyModel, tol: float = DEFAULT_ROOT_TOL) -> tuple[ScaleEvaluat
     return ev, solve_a_star(ev, tol=tol)
 
 
+def _check_threshold(a) -> None:
+    if not (np.isfinite(a) and a >= 0.0):
+        raise ValueError(f"threshold must be finite and >= 0, got {a!r}")
+
+
+def _v_a(p: float, a: float, xa: np.ndarray, cum_a, cum_base) -> np.ndarray:
+    """V_a at the start points ``xa`` (the formula of the module docstring),
+    from the running integral of H at a and at clip(xa, 0, a); ``cum_base``
+    is only read where xa < a."""
+    base = np.clip(xa, 0.0, a)
+    val = (2.0 / p) * (cum_a - cum_base) - (a - base) / p + np.minimum(xa, 0.0) / p
+    return np.where(xa >= a, 0.0, val)
+
+
 def V_a_at(ev: ScaleEvaluator, table: ConvolutionTable, a: float, x):
     """Value of the first-passage rule with threshold a, started at x.
 
     Accepts a scalar or an array of start points.
     """
-    if not (np.isfinite(a) and a >= 0.0):
-        raise ValueError(f"threshold must be finite and >= 0, got {a!r}")
+    _check_threshold(a)
     xa = np.asarray(x, float)
-    p = ev.profile.psi_prime0
-    base = np.clip(xa, 0.0, a)
-    int_h = table.cum_integral(a) - table.cum_integral(base)
-    val = (2.0 / p) * int_h - (a - base) / p + np.minimum(xa, 0.0) / p
-    out = np.where(xa >= a, 0.0, val)
+    cum_base = table.cum_integral(np.clip(xa, 0.0, a))
+    out = _v_a(ev.profile.psi_prime0, a, xa, table.cum_integral(a), cum_base)
     return float(out) if np.ndim(x) == 0 else out
 
 
@@ -214,11 +224,20 @@ def build_value_curve(
     xs,
     thresholds,
 ) -> ValueCurve:
+    """V_a for each threshold along ``xs`` (each row equal to ``V_a_at``),
+    with the infimum law, gain and H there."""
     xs = np.asarray(xs, float)
     thresholds = tuple(float(a) for a in thresholds)
+    for a in thresholds:
+        _check_threshold(a)
+    # one pass over the running integral of H: at clip(x, 0, top), which is
+    # clip(x, 0, a) wherever x < a, and at each threshold
+    top = max(thresholds, default=0.0)
+    cum = table.cum_integral(np.append(np.clip(xs, 0.0, top), thresholds))
+    p = ev.profile.psi_prime0
     values = np.empty((len(thresholds), xs.size))
     for i, a in enumerate(thresholds):
-        values[i] = V_a_at(ev, table, a, xs)
+        values[i] = _v_a(p, a, xs, cum[xs.size + i], cum[: xs.size])
     return ValueCurve(
         x=xs,
         inf_cdf=np.asarray(ev.inf_cdf(xs)),

@@ -9,6 +9,7 @@ from scipy import integrate
 
 from lastzero.cli import main
 from lastzero.convolution import conv_analytic
+from lastzero.mc import INFIMUM_STEP
 from lastzero.models import BetaFamily
 from lastzero.scale import ScaleEvaluator
 
@@ -113,6 +114,7 @@ def test_invalid_parameters_exit_2(tmp_path, capsys):
         {"kind": "bm", "mu": None},
         {"kind": ["bm"]},
         {"kind": "bm", "mu": True},
+        {"kind": "bm", "mu": 10**400},  # float() would overflow
     ):
         bad.write_text(json.dumps(spec))
         assert main(["solve", "--config", str(bad)]) == 2
@@ -145,6 +147,17 @@ def test_curve_default_thresholds(capsys):
     vals = [float(at_zero[c]) for c in v_cols]
     assert vals[1] <= min(vals) + 1e-12
     assert all(float(r[v_cols[1]]) <= 1e-12 for r in rows)
+
+
+def test_curve_thresholds_do_not_leak_between_calls(capsys):
+    # main builds its parser once per process; the repeatable --a must
+    # start from its default on every call
+    rc, out = run(capsys, "curve", "--model", "bm", "--step", "0.5", "--a", "0.5")
+    assert rc == 0
+    assert [c for c in csv_rows(out)[0] if c.startswith("V[a=")] == ["V[a=0.5]"]
+    rc, out = run(capsys, "curve", "--model", "bm", "--step", "0.5")
+    assert rc == 0
+    assert len([c for c in csv_rows(out)[0] if c.startswith("V[a=")]) == 3
 
 
 def test_curve_json_custom_thresholds(capsys):
@@ -260,6 +273,22 @@ def test_simulate_pair_median(capsys):
     assert rows[0]["quantity"] == "pair_median"
     est, se = float(rows[0]["estimate"]), float(rows[0]["std_error"])
     assert abs(est - 1.1661477520733816) < 5.0 * se
+
+
+def test_simulate_pair_median_reports_its_step(capsys):
+    # Brownian infima run at INFIMUM_STEP sigma^2/mu^2 whatever --dt is, and
+    # the dt column says so; the other routes run at --dt
+    for model, step in (
+        (("--model", "bm", "--mu", "0.5"), 4.0 * INFIMUM_STEP),
+        (("--model", "beta"), 2.0 * INFIMUM_STEP),
+        (("--model", "cl"), 0.01),
+    ):
+        rc, out = run(
+            capsys, "simulate", *model, "--quantity", "pair-median",
+            "--paths", "64", "--dt", "0.01",
+        )
+        assert rc == 0
+        assert float(csv_rows(out)[1][0]["dt"]) == pytest.approx(step, rel=1e-12)
 
 
 def test_simulate_pair_median_refuses_fewer_than_two_pairs(capsys):

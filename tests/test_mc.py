@@ -208,6 +208,39 @@ def test_infimum_law_cramer_lundberg():
     assert d < ks_critical(20000)
 
 
+def test_infimum_scale_covariance():
+    # the default step is INFIMUM_STEP sigma^2/mu^2: in model units, with
+    # space in sigma^2/mu, every Brownian model draws the same infima
+    cfg = McConfig(n_paths=2048, base_seed=21)
+    ref = sample_infimum(BM, cfg)
+    for model, mu, sig in (
+        (BrownianDrift(0.1, 1.0), 0.1, 1.0),
+        (BrownianDrift(10.0, 1.0), 10.0, 1.0),
+        (BrownianDrift(1.0, 3.0), 1.0, 3.0),
+        (BrownianDrift(0.3, 2.0), 0.3, 2.0),
+        (BetaFamily(2.0), 1.0, math.sqrt(2.0)),  # BrownianDrift(1, sqrt 2)
+    ):
+        np.testing.assert_allclose(sample_infimum(model, cfg) * mu / sig**2, ref, rtol=1e-11)
+
+
+def test_infimum_cost_independent_of_scale(monkeypatch):
+    # every Brownian model reaches b in the same number of steps, so the
+    # infimum sampler runs as many blocks whatever mu is
+    running = mc._Batch.running
+    blocks = []
+
+    def counted(self):
+        idx = running(self)
+        blocks[-1] += bool(idx.size)
+        return idx
+
+    monkeypatch.setattr(mc._Batch, "running", counted)
+    for mu in (0.1, 1.0, 10.0):
+        blocks.append(0)
+        sample_infimum(BrownianDrift(mu, 1.0), McConfig(n_paths=4096, base_seed=8))
+    assert blocks[0] == blocks[1] == blocks[2] > 0
+
+
 def test_pair_median_pairing():
     cfg = McConfig(n_paths=5, base_seed=1, dt=5e-3)
     med, sums = infimum_pair_sum_median(BM, cfg)

@@ -266,3 +266,23 @@ def test_build_value_curve_continuous_fit():
     curve = build_value_curve(ev, rule.table, xs, (0.0,))
     assert curve.conv[0] == 0.0
     assert curve.conv[-1] > 0.5
+
+
+@pytest.mark.parametrize(
+    "model",
+    [BM, CL, CramerLundberg(4.0, 1.0, 1.0), BetaFamily(1.5)],
+    ids=["bm", "cl-smooth", "cl-continuous", "beta1.5"],
+)
+def test_build_value_curve_columns_equal_v_a_at(model):
+    # the curve takes the running integral of H in one pass for all
+    # thresholds; each column is V_a_at's, bit for bit, for thresholds out
+    # of order and repeated, 0 among them, on a grid past the top one
+    ev, rule = solve(model)
+    top = max(rule.a_star, 0.4)
+    thr = (top, 0.0, 0.5 * top, top, 0.25 * top)
+    xs = np.linspace(-1.0, 3.0 * top + 1.0, 57)
+    curve = build_value_curve(ev, rule.table, xs, thr)
+    for i, a in enumerate(thr):
+        assert np.array_equal(curve.values[i], V_a_at(ev, rule.table, a, xs))
+    with pytest.raises(ValueError, match="threshold"):
+        build_value_curve(ev, rule.table, xs, (0.5, -0.1))

@@ -35,8 +35,8 @@ from .mc import (
     estimate_mean_abs_error_grid,
     estimate_passage_time,
     estimate_value,
-    infimum_config,
     infimum_pair_sum_median,
+    run_step,
     sample_infimum,
     simulate_paths,
 )
@@ -263,11 +263,11 @@ def _cmd_simulate(args) -> int:
     elif quantity == "laplace":
         reports = [estimate_laplace_g(model, cfg, args.q)]
     else:
-        # the Brownian infima run at their own step: report it as dt
-        cfg = infimum_config(model, cfg)
         reports = [_pair_median(model, cfg)]
+    # Brownian runs take their own step: the dt column reports it
+    step = run_step(model, cfg, quantity in ("mae", "passage", "value"), quantity == "value")
     rows = [
-        (*(getattr(r, f) for f in _SIM_HEADER[:-2]), cfg.dt, cfg.tail_eps)
+        (*(getattr(r, f) for f in _SIM_HEADER[:-2]), step, cfg.tail_eps)
         for r in reports
     ]
     report = {
@@ -419,7 +419,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--q", type=float, default=1.0, help="rate for --quantity laplace")
     sp.add_argument("--paths", type=int, default=10000)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--dt", type=float, default=1e-3, help="Euler step (grid families)")
+    sp.add_argument("--dt", type=float, default=1e-3,
+                    help="grid step of the Beta jump route (beta < 2); Brownian runs take "
+                         "their own step in model units, which the dt column reports")
     sp.add_argument("--tail-eps", type=float, default=1e-3, help="barrier tail mass")
     _add_io_args(sp, "csv")
     sp.set_defaults(func=_cmd_simulate)

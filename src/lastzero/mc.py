@@ -15,25 +15,42 @@ Scheme by family:
   antiderivative per linear segment) are all computed without
   discretisation error.
 * BrownianDrift (and BetaFamily(2), which is BrownianDrift(1, sqrt 2)):
-  Euler grid with step dt, refined by the Brownian-bridge law.  Each
-  step's minimum, 1/2 (P + X - sqrt((X - P)^2 - 2 sigma^2 dt log U)), gives
-  its zero dips and the infimum; one more uniform gives its maximum and
-  with it the passages over every threshold.  The uniforms are drawn
-  only on steps within sqrt(19 sigma^2 dt) of a level that matters (0,
-  the lowest point so far, a threshold still pending at the start of the
-  block): further away the bridge reaches the level with probability
-  below 2^-53.  Events are stamped at the end of their step, a bias of
-  order dt.  A path stops at the step whose maximum passes the top
-  threshold or, when there are none, at its first grid point above b (no
-  step maxima are drawn then), and its future is drawn exactly (strong
-  Markov property at the grid point (t, x)): with E ~ Exp(2 mu / sigma^2)
-  the future infimum is x - E, the path returns to 0 iff E >= x, the
-  return takes an inverse Gaussian time with mean |x|/mu and shape
-  x^2/sigma^2, and the last zero after it adds Gamma(1/2, scale
-  2 sigma^2 / mu^2).  So g carries no tail_eps bias, and the infimum is
-  exact at any step: the infimum sampler's default step is INFIMUM_STEP
-  in units of the model's time scale sigma^2/mu^2, so every Brownian
-  model reaches b in the same number of steps.
+  a skeleton of Gaussian steps, with every event drawn at its exact time
+  from the Brownian-bridge laws of the steps (Borodin & Salminen).  A
+  bridge over time h from distance p of a level to distance x of it (one
+  side) hits the level with probability exp(-2 p x / (sigma^2 h)), surely
+  across it, and then first at h s/(1 + s), s ~ Wald(p/x, p^2/(sigma^2 h));
+  read backwards, its last visit is at h/(1 + s) with p and x swapped.
+  The step minimum, 1/2 (P + X - sqrt((X - P)^2 - 2 sigma^2 h log U)),
+  gives the step's touch of 0 and the infimum, and the step maximum screens
+  the lowest pending level.  A level is passed in the first step whose
+  maximum passes it; the levels above it follow one by one from the
+  previous passage, over the rest of that step (the bridge is Markov), so
+  every threshold is stamped exactly and tau is nondecreasing in the level.
+  The last zero lies in a path's last touching step: its time is drawn
+  once no later step can touch 0, and the step minimum then from the
+  bridge from P to 0 over [0, L], which keeps g and the infimum jointly
+  exact.  A step whose end points lie further than sqrt(19 sigma^2 h) from
+  a level (p x > 19 sigma^2 h) reaches it with probability below 2^-53:
+  only steps within reach of 0, of the lowest grid point, or of a pending
+  level draw.  A step within reach of both 0 and a pending level, ending
+  after the last grid point at or below 0, could hold both the last zero
+  and a passage; it is split at Gaussian bridge midpoints (the Levy
+  construction) until no piece is, deciding from the points drawn so far
+  only, for at most SPLIT_DEPTH halvings (a piece of h / 2^30 may keep
+  both).  The step is a fixed share of the time scale sigma^2/mu^2
+  (``run_step``: INFIMUM_STEP without thresholds, THRESHOLD_STEP with,
+  GAIN_STEP for gain integrals, which stay a left Riemann sum closed at
+  the passage), so every Brownian model takes as many steps; a block
+  spans BLOCK_SPAN mean path lengths, in [BLOCK_MIN, BLOCK] steps.  A path
+  stops at its first grid point above b when there are no thresholds, else
+  at the end of the block in which it passes the top threshold, and its
+  future is drawn exactly (strong Markov property at the fixed time t, at
+  x): with E ~ Exp(2 mu / sigma^2) the future infimum is x - E, the path
+  returns to 0 iff E >= x, the return takes an inverse Gaussian time with
+  mean |x|/mu and shape x^2/sigma^2, and the last zero after it adds
+  Gamma(1/2, scale 2 sigma^2 / mu^2).  So g carries no tail_eps bias, and
+  g, tau and the infimum are exact at any step.
 * BetaFamily(beta < 2): compound-Poisson approximation on the grid, run
   to b.  Jumps larger than a cutoff are simulated exactly (rejection
   sampling from the jump law), smaller ones are replaced by a Brownian
@@ -42,23 +59,29 @@ Scheme by family:
   off the grid points (there is no bridge law).  Intended for soft
   (several-standard-error) cross-checks only.
 
-Both engines share one batch driver: ``_Batch`` holds a batch's per-path
+The engines share one batch driver: ``_Batch`` holds a batch's per-path
 state (position, clock, last zero, infimum, and per level the passage
-time, gain integral and a done flag), and one passage search finds, per
-block, the first step or claim segment whose running maximum passes each
-sorted level, b included where paths run to it.  A run whose paths would
+time, gain integral and a done flag).  The event engine and the jump
+route share one passage search, which finds per block the first claim
+segment or step whose running maximum passes each sorted level, b
+included where paths run to it.  A run whose paths would
 take more than ``MAX_STEPS_PER_PATH`` steps or claims on average is
 refused before its first block.
 
 Reproducibility contract: paths are organised in batches of ``BATCH``,
 the unit of ``batch_filter``.  The event engine gives batch j the stream
 ``Philox(key=base_seed).jumped(j)`` and draws full-width blocks.  The grid
-engine splits each batch into groups of ``GROUP`` paths and gives group j
-(paths GROUP*j .. GROUP*j + GROUP - 1) the stream jumped(j); per block it
-draws only for the group's live paths, in row order, and the last
-group's padding rows beyond n_paths are simulated as ordinary paths.  In
-both engines the draws feeding path k are a function of (base_seed, k)
-alone: independent of n_paths and of how results are later aggregated.
+engines split each batch into groups of ``GROUP`` paths and give group j
+(paths GROUP*j .. GROUP*j + GROUP - 1) the stream jumped(j); per block they
+draw only for the group's live paths, in row order, and the last group's
+padding rows beyond n_paths are simulated as ordinary paths.  The bridge
+route's event draws come from a reserve of uniforms per group: its first
+RESERVE values are row g of one draw from the batch's own stream
+jumped(j + 2^64), the rest from the group's stream, handed out in the
+order of the group's requests.  In every engine the draws feeding path k
+are a function of (base_seed, k) alone: independent of n_paths and of how
+results are later aggregated, so one path can be simulated alone with
+its group (its batch on the event engine).
 """
 
 from __future__ import annotations
@@ -97,17 +120,25 @@ __all__ = [
 ]
 
 BATCH = 1024  # paths per batch: the unit of batch_filter and of the CL streams
-GROUP = 16  # paths per RNG stream of the grid engine
-BLOCK = 256  # Euler steps drawn per block
-INFIMUM_BLOCK = 16  # infimum sampler blocks: its paths reach b in about 4 steps
-# a bridge step whose end points lie further than sqrt(BRIDGE_REACH sigma^2 dt)
-# from a level reaches it with probability below exp(-2 BRIDGE_REACH) < 2^-53
+GROUP = 16  # paths per RNG stream of the grid engines
+BLOCK = 256  # steps drawn per block: the jump route's, and the bridge route's most
+BLOCK_MIN = 4  # the bridge route's fewest steps per block
+BLOCK_SPAN = 4.0  # mean path lengths a bridge-route block spans
+# a bridge piece of length t whose end points lie at distances p, x on one
+# side of a level with p x > BRIDGE_REACH sigma^2 t reaches it with
+# probability exp(-2 p x / (sigma^2 t)) < exp(-2 BRIDGE_REACH) < 2^-53
 BRIDGE_REACH = 19.0
+SPLIT_DEPTH = 30  # most halvings of a bridge step (a piece of h / 2^30 may hold both)
+RESERVE = 256  # uniforms each RNG group of the bridge route holds ready at a batch start
 EVENT_BLOCK = 64  # jump events drawn per block (CramerLundberg)
 BETA_JUMP_CUTOFF = 1e-2  # |y| below this is folded into the Gaussian proxy
-# default bridge step for Brownian infimum sampling, in units of the model's
-# time scale sigma^2/mu^2: every Brownian model reaches b in as many steps
-INFIMUM_STEP = 1.0
+# bridge-route steps in units of the model's time scale sigma^2/mu^2, so that
+# every Brownian model takes as many steps: runs without thresholds, with
+# thresholds, and with gain integrals (a left Riemann sum, the one quantity
+# that the step still biases)
+INFIMUM_STEP = 8.0
+THRESHOLD_STEP = 0.25
+GAIN_STEP = 1e-3
 # a run is refused when its paths would take more Euler steps or claims than
 # this on average (BM(1,1) to b: about 3.5e3 steps; CL(1.3,1,1): about 100 claims)
 MAX_STEPS_PER_PATH = 1e7
@@ -124,10 +155,11 @@ class McConfig:
     ``tail_eps`` places the barrier b at the (1 - tail_eps)-quantile of
     the infimum law: thresholds must lie below it, and paths without an
     exact continuation are simulated up to their passage above it.
-    ``dt`` is the Euler step for the grid-based families (ignored by the
-    exact CramerLundberg engine).  A run raises ValueError when its paths
-    would take more than ``MAX_STEPS_PER_PATH`` on average: Euler steps to
-    the top level, (top - min(start, 0)) / (mu dt), or claims to b,
+    ``dt`` is the grid step of the Beta jump route (beta < 2) only: the
+    Brownian route takes its own step in model units (``run_step``) and
+    the exact CramerLundberg engine none.  A run raises ValueError when its
+    paths would take more than ``MAX_STEPS_PER_PATH`` on average: steps to
+    the top level, (top - min(start, 0)) / (mu step), or claims to b,
     lam (b - min(start, 0)) / psi'(0+).
     """
 
@@ -201,14 +233,33 @@ def _levels(a_arr: np.ndarray, b: float, with_b: bool):
     return (np.append(levels, b) if with_b else levels), rank
 
 
-def _batches(cfg: McConfig, start: float, na: int, batch_filter):
-    """The result arrays, and the (first path, path count) of each batch to
-    run; filtered-out paths keep g = tau = gint = 0 and inf_depth = -start."""
+def _outputs(cfg: McConfig, start: float, na: int) -> dict:
+    """The result arrays; paths not run keep g = tau = gint = 0 and
+    inf_depth = -start."""
     n = cfg.n_paths
-    out = {"g": np.zeros(n), "tau": np.zeros((n, na)),
-           "inf_depth": np.full(n, -float(start)), "gint": np.zeros((n, na))}
-    return out, [(lo, min(BATCH, n - lo)) for lo in range(0, n, BATCH)
-                 if batch_filter is None or lo // BATCH in batch_filter]
+    return {"g": np.zeros(n), "tau": np.zeros((n, na)),
+            "inf_depth": np.full(n, -float(start)), "gint": np.zeros((n, na))}
+
+
+class _GroupFilter(frozenset):
+    """A ``batch_filter`` naming the batch of one RNG group, ``group``: the
+    event engine runs that batch, the grid engines only the group, whose
+    draws do not depend on the rest of its batch."""
+
+    def __new__(cls, group: int):
+        self = super().__new__(cls, {group * GROUP // BATCH})
+        self.group = group
+        return self
+
+
+def _todo(n: int, batch_filter, by_group: bool) -> list[tuple[int, int]]:
+    """(first path, path count) of each batch to run; only the one group of
+    a ``_GroupFilter`` when the engine runs ``by_group``."""
+    if by_group and isinstance(batch_filter, _GroupFilter):
+        lo = batch_filter.group * GROUP
+        return [(lo, min(GROUP, n - lo))]
+    return [(lo, min(BATCH, n - lo)) for lo in range(0, n, BATCH)
+            if batch_filter is None or lo // BATCH in batch_filter]
 
 
 def _block_cap(per_path: float, unit: str, width: int) -> int:
@@ -241,10 +292,12 @@ class _Batch:
     (a step count on the grid, a time for the event engine), whether it is
     ``alive``, the last zero ``g`` and infimum ``inf`` so far, and per
     level its passage time ``tau``, ``gint`` up to it and whether it is
-    ``done``; ``gint_cum`` is the gain integral so far."""
+    ``done``; ``gint_cum`` is the gain integral so far.  With ``closed``
+    a level at the start counts as passed at t = 0, as it is by a path of
+    infinite variation."""
 
-    def __init__(self, rows, live, start, levels, cap, clock=float):
-        hit0 = start > levels  # levels already exceeded at t = 0
+    def __init__(self, rows, live, start, levels, cap, clock=float, closed=False):
+        hit0 = start >= levels if closed else start > levels  # passed at t = 0
         self.x = np.full(rows, float(start))
         self.clock = np.zeros(rows, clock)
         self.alive = np.zeros(rows, bool)
@@ -285,25 +338,438 @@ class _Batch:
 
 
 # ---------------------------------------------------------------------------
-# grid engine: Brownian motion with drift, optionally plus compound jumps
+# bridge engine: Brownian motion with drift, events at their exact times
 # ---------------------------------------------------------------------------
 
 
-def _bridge_refine(ext, cand, P, X, inc, gens, live, gbound, var_step, sign):
-    """Replace ``ext`` on the candidate steps by the minimum (sign -1) or the
-    maximum (sign +1) of the Brownian bridge from P to X over the step.
+def _block_steps(steps: float) -> int:
+    """Steps per block of the bridge route: BLOCK_SPAN mean path lengths,
+    rounded up to a power of two, within [BLOCK_MIN, BLOCK]."""
+    span = max(BLOCK_SPAN * steps, 1.0)
+    return int(min(BLOCK, max(BLOCK_MIN, 2 ** math.ceil(math.log2(span)))))
 
-    Each live group draws one uniform per candidate step of its rows, in
-    row order, from its own stream.
-    """
-    flat = np.flatnonzero(cand)
-    u = np.empty(flat.size)
-    off = np.searchsorted(flat, gbound * cand.shape[1])
-    for j, gi in enumerate(live):
-        gens[gi].random(out=u[off[j] : off[j + 1]])
-    d = inc.ravel()[flat]
-    spread = np.sqrt(d * d - 2.0 * var_step * np.log1p(-u))
-    ext.ravel()[flat] = 0.5 * (P.ravel()[flat] + X.ravel()[flat] + sign * spread)
+
+def _rows(mask: np.ndarray):
+    """The rows where ``mask`` holds, or all rows (a slice, which indexes
+    without a copy) when most do."""
+    return slice(None) if 2 * mask.sum() > mask.size else np.flatnonzero(mask)
+
+
+def _group_runs(keys: np.ndarray):
+    """The distinct values of an ascending array, the index of each one's
+    first occurrence, and its count."""
+    new = np.empty(keys.size, bool)
+    new[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    first = np.flatnonzero(new)
+    return keys[first], first, np.diff(first, append=keys.size)
+
+
+class _Pool:
+    """Uniforms held in reserve per RNG group and handed out in request
+    order: a request for batch rows ``rows`` (ascending) gives each group's
+    rows the next values of that group's reserve.  The first reserve is
+    row g of ``first``; later ones come from the group's own stream.  So
+    what a path receives depends only on its group's requests, and a group
+    draws a few times per batch instead of once per request."""
+
+    def __init__(self, gens, first: np.ndarray):
+        self.gens = gens
+        self.buf = first
+        self.cur = np.zeros(first.shape[0], np.intp)
+        self.fill = np.full(first.shape[0], first.shape[1])
+
+    def reserve(self, g: int, n: int):
+        """Make at least n values ready for group g."""
+        left = self.fill[g] - self.cur[g]
+        if left < n:
+            size = max(2 * n, RESERVE)  # twice the need: fewer draws, little waste
+            if size > self.buf.shape[1]:
+                self.buf = np.pad(self.buf, ((0, 0), (0, max(size, 2 * self.buf.shape[1]) - self.buf.shape[1])))
+            self.buf[g, :left] = self.buf[g, self.cur[g] : self.fill[g]].copy()
+            self.gens[g].random(out=self.buf[g, left:size])
+            self.cur[g], self.fill[g] = 0, size
+
+    def take(self, rows: np.ndarray, k: int = 0):
+        """One uniform per row, or with k > 0 an array of k per row (k by
+        len(rows))."""
+        if k:
+            return self.take(np.repeat(rows, k)).reshape(-1, k).T
+        bounds = np.searchsorted(rows, GROUP * np.arange(self.buf.shape[0] + 1))
+        ug = np.flatnonzero(bounds[1:] > bounds[:-1])
+        first, cnt = bounds[ug], bounds[ug + 1] - bounds[ug]
+        cur = self.cur[ug]
+        left = self.fill[ug] - cur
+        if rows.size > 64 * ug.size:
+            # many values per group: copy slices, and draw what a reserve
+            # lacks straight into place
+            out = np.empty(rows.size)
+            for g, a, n, c, k in zip(*(v.tolist() for v in (ug, first, cnt, cur, left))):
+                if k >= n:
+                    out[a : a + n] = self.buf[g, c : c + n]
+                else:
+                    out[a : a + k] = self.buf[g, c : c + k]
+                    self.gens[g].random(out=out[a + k : a + n])
+            self.cur[ug] = np.minimum(cur + cnt, self.fill[ug])
+            return out
+        for i in np.flatnonzero(left < cnt):
+            self.reserve(ug[i], cnt[i])
+        grp = np.repeat(ug, cnt)
+        out = self.buf[grp, self.cur[grp] + np.arange(rows.size) - np.repeat(first, cnt)]
+        self.cur[ug] += cnt
+        return out
+
+
+
+def _normal(u):
+    """Standard normals from uniforms on [0, 1), by inversion."""
+    return special.ndtri(np.maximum(u, 1e-300))
+
+
+def _wald_split(p, x, var, z, u):
+    """(s / (1 + s), 1 / (1 + s)) for s ~ Wald(p / x, p^2 / var), from one
+    normal z and one uniform u (Michael, Schucany & Haas), in a form that
+    stays finite as x -> 0, where s tends to the Levy law (p^2 / var) / z^2.
+
+    A Brownian bridge with variance var over its length, started at
+    distance p from a level and ending at distance x from it, first hits
+    the level, given that it does, at the first of these fractions of its
+    length; read backwards in time, its last visit to the level is at the
+    second with p and x swapped (Borodin & Salminen)."""
+    y = 4.0 * (p * p / var) / (np.abs(z) + np.sqrt(z * z + 4.0 * p * x / var)) ** 2
+    acc = u * y * x <= p * (1.0 - u)
+    d = p * p + x * x * y
+    d = np.where(d > 0.0, d, 1.0)  # p = 0: the level at the start, s = 0
+    return np.where(acc, y / (1.0 + y), p * p / d), np.where(acc, 1.0 / (1.0 + y), x * x * y / d)
+
+
+def _split(unif, grow, lrow, tneg, tstart, tend, P, X, ref, plo, pending, sig2):
+    """Levy construction: split each piece, from P at time tstart to X at
+    tend, at its bridge midpoint, N((P + X)/2, sig2 (tend - tstart)/4), and
+    the halves again, while a piece may hold both the last zero and a
+    passage: while 0 and the lowest pending level (``plo``; ``pending``
+    holds the levels, ascending, and inf) are both within reach of it (see
+    ``_run_bridge``) and it ends after the latest known point at or below 0
+    of its row (``tneg``, by local row ``lrow``; midpoints update it), for
+    at most SPLIT_DEPTH halvings.  The decisions read only points already
+    drawn, so each midpoint keeps its bridge law.
+
+    Returns (parent, start, end, P, X, near low, near high) of the final
+    pieces near a level, in (parent, time) order; a piece left at the
+    depth cap is near both."""
+    r2 = BRIDGE_REACH * sig2
+    F = np.stack([tstart, tend, P, X, ref, plo])
+    I = np.stack([np.arange(P.size), grow, lrow])
+    outs = []
+    for depth in range(SPLIT_DEPTH + 1):
+        tstart, tend, P, X, ref, plo = F
+        r2l = r2 * (tend - tstart)
+        near_lo = (P * X < r2l) | ((P - ref) * (X - ref) < r2l)
+        near_hi = (np.maximum(P, X) > plo) | ((plo - P) * (plo - X) < r2l)
+        both = (P * X < r2l) & near_hi
+        both &= tend > tneg[I[2]]
+        if depth == SPLIT_DEPTH:
+            both[:] = False
+        fin = np.flatnonzero(~both & (near_lo | near_hi))
+        outs.append((I[0, fin], F[:4, fin], near_lo[fin], near_hi[fin]))
+        if not both.any():
+            break
+        F, I = F[:, both], I[:, both]
+        tmid = 0.5 * (F[0] + F[1])
+        mid = 0.5 * (F[2] + F[3]) + np.sqrt(0.25 * sig2 * (F[1] - F[0])) * _normal(
+            unif.take(I[1]))
+        neg = mid <= 0.0
+        np.maximum.at(tneg, I[2, neg], tmid[neg])
+        F, I = np.repeat(F, 2, axis=1), np.repeat(I, 2, axis=1)
+        F[1, 0::2] = F[0, 1::2] = tmid
+        F[3, 0::2] = F[2, 1::2] = mid
+        # levels below a midpoint are passed before the half after it
+        F[5, 1::2] = np.maximum(F[5, 1::2], pending[np.searchsorted(pending, mid)])
+    parent = np.concatenate([o[0] for o in outs])
+    F = np.concatenate([o[1] for o in outs], axis=1)
+    order = np.lexsort((F[0], parent))
+    return (parent[order], *F[:, order], np.concatenate([o[2] for o in outs])[order],
+            np.concatenate([o[3] for o in outs])[order])
+
+
+def _run_bridge(
+    cfg: McConfig,
+    start: float,
+    b: float,
+    a_arr: np.ndarray,
+    mu_rate: float,
+    sig: float,
+    gain_fn,
+    want_gint: bool,
+    step: float,
+    todo,
+):
+    """The Brownian route: a skeleton of Gaussian steps of length ``step``,
+    with passages, the last zero and the infimum drawn from the bridge laws
+    of its pieces (see the module docstring)."""
+    h = step
+    sig2 = sig * sig
+    r2 = BRIDGE_REACH * sig2
+    r2h = r2 * h
+    reach = math.sqrt(r2h)
+    with_levels = a_arr.size > 0
+    # without thresholds paths stop at their first grid point above b
+    levels, rank = _levels(a_arr, b, not with_levels)
+    nl = levels.size
+    pending = np.append(levels, np.inf)  # lowest pending level by done count
+    steps = (levels[-1] - min(start, 0.0)) / max(mu_rate, 1e-12) / h
+    block = _block_steps(steps)
+    cap = _block_cap(steps, "steps", block)
+    out = _outputs(cfg, start, a_arr.size)
+    jgrid = np.arange(block)
+    tgrid = np.arange(block + 1) * h  # grid point times within a block
+    gens = [_batch_gen(cfg.base_seed, 0) for _ in range(-(-min(cfg.n_paths, BATCH) // GROUP))]
+    fresh = gens[0].bit_generator.state
+    for lo, m in todo:
+        ng = -(-m // GROUP)
+        rows = ng * GROUP  # the last group's padding rows run too
+        for j in range(ng):
+            fresh["state"]["counter"] = np.array([0, 0, lo // GROUP + j, 0], np.uint64)
+            gens[j].bit_generator.state = fresh
+        # the groups' first reserves: rows of one draw from the batch's own
+        # stream, far from every group stream
+        g0 = lo % BATCH // GROUP
+        first = np.random.Generator(np.random.Philox(
+            key=cfg.base_seed, counter=[0, 0, lo // BATCH, 1])).random((BATCH // GROUP, RESERVE))
+        unif = _Pool(gens, first[g0 : g0 + ng])
+        s = _Batch(rows, rows, start, levels, cap, np.int64, closed=True)
+        t_stop = np.zeros(rows)
+        # per row, the step piece of its latest touch of 0 that ends above 0
+        # (start time, ends, length; zm its drawn minimum, inf if none)
+        zt, zP, zX, zlen = np.zeros((4, rows))
+        zm = np.full(rows, np.inf)
+        while (idx := s.running()).size:
+            R = idx.size
+            live, gstart = np.unique(idx // GROUP, return_index=True)
+            gbound = np.append(gstart, R)
+            inc = np.empty((R, block))
+            for j, gi in enumerate(live):
+                gens[gi].standard_normal(out=inc[gbound[j] : gbound[j + 1]])
+            inc *= sig * math.sqrt(h)
+            inc += mu_rate * h
+            X = np.cumsum(inc, axis=1, out=inc)
+            X += s.x[idx, None]
+            P = np.empty_like(X)
+            P[:, 0] = s.x[idx]
+            P[:, 1:] = X[:, :-1]
+            if not with_levels:
+                kstop = (np.maximum.accumulate(X, axis=1) <= b).sum(axis=1)
+                cut = jgrid > kstop[:, None]  # the steps after the stop
+                P[cut] = X[cut] = np.inf
+            t0 = s.clock[idx] * h
+            # the last grid point at or below 0 (at -1 if none): no step
+            # before it holds the last zero
+            tneg = np.where(P[:, 0] <= 0.0, 0.0, -1.0)
+            rz, kz = _last_true(X <= 0.0)
+            tneg[rz] = tgrid[kz + 1]
+            rz = np.flatnonzero(tneg >= 0.0)
+            kz = np.rint(tneg[rz] / h).astype(np.intp)
+            s.g[idx[rz]] = t0[rz] + tneg[rz]
+            # a step reaches a level with probability above 2^-53 only when
+            # its end points lie within reach of it, or across it: 0 after the
+            # last grid point at or below it, the lowest grid point (the
+            # infimum is no lower than that), and the lowest pending level
+            ref = np.minimum(s.inf[idx], X.min(axis=1))
+            low = np.minimum(P, X)
+            near_lo = (low < ref[:, None] + reach) | ((low > 0.0) & (low < reach))
+            del low
+            # the step from the last grid point at or below 0
+            after = np.flatnonzero(kz < block)
+            near_lo[rz[after], kz[after]] = True
+            if with_levels:
+                done0 = s.done[idx].sum(axis=1)
+                # the lowest pending level at each step of the rows rh near
+                # one: levels below a grid point so far are passed for sure
+                rh = _rows(np.maximum(P[:, 0], X.max(axis=1)) > pending[done0] - reach)
+                top = np.maximum.accumulate(P[rh], axis=1)
+                below = top > levels[0] if nl == 1 else np.searchsorted(levels, top)
+                plo = pending[np.maximum(done0[rh, None], below)]
+                near_hi = np.maximum(P[rh], X[rh]) > plo - reach  # rows rh
+            if want_gint:
+                # left Riemann sums of the gain, in steps, at each step's start
+                cg = gain_fn(P)
+                np.cumsum(cg, axis=1, out=cg)
+            # pieces (row, start, end, P, X): near a pending level in (row,
+            # time) order, and near 0 or the lowest point
+            low_parts = []
+            if with_levels:
+                hq, hk = np.nonzero(near_hi)
+                hr = np.arange(R)[rh][hq]
+                hs, he, hP, hX, hplo = tgrid[hk], tgrid[hk + 1], P[hr, hk], X[hr, hk], plo[hq, hk]
+                # a step that may hold both the last zero and a passage is
+                # split until no piece does
+                shared = np.flatnonzero(near_lo[hr, hk] & (hP * hX < r2h) & (he > tneg[hr]))
+                if shared.size:
+                    near_lo[hr[shared], hk[shared]] = False
+                    par, ps_, pe_, pP_, pX_, plow_, phigh_ = _split(
+                        unif, idx[hr[shared]], hr[shared], tneg, hs[shared], he[shared],
+                        hP[shared], hX[shared], ref[hr[shared]], hplo[shared], pending, sig2)
+                    par = shared[par]
+                    low_parts.append([a[plow_] for a in (hr[par], ps_, pe_, pP_, pX_)])
+                    # each shared step gives way to its parts near a level, in place
+                    par, ps_, pe_, pP_, pX_ = (a[phigh_] for a in (par, ps_, pe_, pP_, pX_))
+                    count = np.ones(hr.size, np.intp)
+                    count[shared] = 0
+                    np.add.at(count, par, 1)
+                    part = np.zeros(hr.size, bool)
+                    part[shared] = True
+                    part = np.repeat(part, count)
+                    hr, hk, hplo = np.repeat(hr, count), np.repeat(hk, count), np.repeat(hplo, count)
+                    cols = []
+                    for col, new in zip((hs, he, hP, hX), (ps_, pe_, pP_, pX_)):
+                        col = np.repeat(col, count)
+                        col[part] = new
+                        cols.append(col)
+                    hs, he, hP, hX = cols
+                hlen = he - hs
+                # each piece's maximum screens the lowest level pending at it;
+                # a piece whose maximum stays below that level passes none
+                hM = 0.5 * (hP + hX + np.sqrt((hX - hP) ** 2 - 2.0 * sig2 * hlen * np.log1p(
+                    -unif.take(idx[hr]))))
+                keep = np.flatnonzero(hM > hplo)
+                hr, hk, hs, hlen, hP, hX, hM = (a[keep] for a in (hr, hk, hs, hlen, hP, hX, hM))
+                urows, _, ucnt = _group_runs(hr)
+                slot = np.repeat(np.arange(urows.size), ucnt)
+                cur = np.full(urows.size, -1)
+                curT = np.zeros(urows.size)
+                # round i takes each row's i-th level pending at the block start
+                j = done0[urows]
+                active = j < nl
+                H = np.arange(hr.size)
+                while active.any():
+                    lj = pending[j]
+                    passed = np.zeros(urows.size, bool)
+                    # hit times: from distance p to end distance |x| over rem
+                    p, x, rem = np.zeros((3, urows.size))
+                    # the previous level was passed here: the rest of its
+                    # piece is a bridge from that level to the piece's end
+                    sq = np.flatnonzero(active & (cur >= 0))
+                    if sq.size:
+                        c = cur[sq]
+                        rem[sq] = hlen[c] - curT[sq]
+                        p[sq] = lj[sq] - levels[j[sq] - 1]
+                        x[sq] = hX[c] - lj[sq]
+                        hit = x[sq] > 0.0
+                        un = sq[~hit]
+                        hit[~hit] = unif.take(idx[urows[un]]) <= np.exp(
+                            2.0 * p[un] * x[un] / (sig2 * rem[un]))
+                        passed[sq[hit]] = True
+                    # otherwise the first later piece whose maximum passes it
+                    cand = np.flatnonzero((hM > lj[slot]) & (active & ~passed)[slot] & (H > cur[slot]))
+                    if cand.size:
+                        cs = slot[cand]
+                        firsts = np.ones(cand.size, bool)
+                        np.not_equal(cs[1:], cs[:-1], out=firsts[1:])
+                        cand, cs = cand[firsts], cs[firsts]
+                        cur[cs] = cand
+                        curT[cs] = 0.0
+                        rem[cs], p[cs], x[cs] = hlen[cand], lj[cs] - hP[cand], hX[cand] - lj[cs]
+                        passed[cs] = True
+                    ps = np.flatnonzero(passed)
+                    rws = idx[urows[ps]]
+                    u = unif.take(rws, 2)
+                    a, _ = _wald_split(p[ps], np.abs(x[ps]), sig2 * rem[ps], _normal(u[0]), u[1])
+                    curT[ps] += rem[ps] * a
+                    gi, jp = cur[ps], j[ps]
+                    s.tau[rws, jp] = t0[urows[ps]] + hs[gi] + curT[ps]
+                    s.done[rws, jp] = True
+                    if want_gint:
+                        # the sum up to the passage step, closed at the passage
+                        r, k = urows[ps], hk[gi]
+                        before = np.where(k > 0, cg[r, np.maximum(k - 1, 0)], 0.0)
+                        s.gint[rws, jp] = s.gint_cum[rws] + h * before + (
+                            cg[r, k] - before) * (hs[gi] - tgrid[k] + curT[ps])
+                    j[ps] += 1
+                    active &= passed & (j < nl)
+            # zeros and the infimum; each list of low pieces is in (row, time)
+            # order, so its last touch per row is a row's last entry
+            f = np.flatnonzero(near_lo)
+            lr, lk = np.divmod(f, block)
+            low_parts.insert(0, [lr, tgrid[lk], tgrid[lk + 1], P.ravel()[f], X.ravel()[f]])
+            cand = []  # per list: (list, index, row, end) of each row's last touch
+            for i, part in enumerate(low_parts):
+                lr, ls_, le, lP, lX = part
+                lm = 0.5 * (lP + lX - np.sqrt((lX - lP) ** 2 - 2.0 * sig2 * (le - ls_) * np.log1p(
+                    -unif.take(idx[lr]))))
+                part.append(lm)
+                t = np.flatnonzero((lm <= 0.0) & (le > tneg[lr]))
+                _, f, c = _group_runs(lr[t])
+                t = t[f + c - 1]
+                cand.append((np.full(t.size, i), t, lr[t], le[t]))
+            part_of, at, lr, le = (np.concatenate(c) for c in zip(*cand))
+            if len(cand) > 1:
+                order = np.lexsort((le, lr))
+                _, f, c = _group_runs(lr[order])
+                part_of, at, lr, le = (a[order[f + c - 1]] for a in (part_of, at, lr, le))
+            # a grid point at or below 0, or a later touch, ends the wait of
+            # a row's pending last zero: its step minimum counts as drawn
+            ends = np.zeros(R, bool)
+            ends[rz] = ends[lr] = True
+            over = idx[ends]
+            s.inf[over] = np.minimum(s.inf[over], zm[over])
+            zm[over] = np.inf
+            s.g[idx[lr]] = t0[lr] + le
+            for i, part in enumerate(low_parts):
+                k = at[part_of == i]
+                # the last touch of a block that ends above 0: its last zero
+                # is drawn once no later touch can replace it
+                pr_, ps_, pe_, pP_, pX_, pm_ = (a[k] for a in part)
+                e = np.flatnonzero(pX_ > 0.0)
+                rr = idx[pr_[e]]
+                zt[rr], zP[rr], zX[rr], zlen[rr] = t0[pr_[e]] + ps_[e], pP_[e], pX_[e], pe_[e] - ps_[e]
+                zm[rr] = pm_[e]
+                part[5][k[e]] = np.inf
+                rows_, first_, _ = _group_runs(part[0])
+                if rows_.size:
+                    rows_ = idx[rows_]
+                    s.inf[rows_] = np.minimum(s.inf[rows_], np.minimum.reduceat(part[5], first_))
+            if want_gint:
+                s.gint_cum[idx] += h * cg[:, -1]
+            s.x[idx] = X[:, -1]
+            s.clock[idx] += block
+            if with_levels:
+                # past the top level the path goes on from the block's end
+                rs = idx[s.done[idx, -1]]
+                t_stop[rs] = s.clock[rs] * h
+            else:
+                stop = np.flatnonzero(kstop < block)
+                rs = idx[stop]
+                s.x[rs] = X[stop, kstop[stop]]
+                t_stop[rs] = t0[stop] + tgrid[kstop[stop] + 1]
+            s.alive[rs] = False
+        # the last zero in that piece, and its minimum from the bridge to it
+        d = np.flatnonzero(zm < np.inf)
+        u = unif.take(d, 3)
+        _, frac = _wald_split(zX[d], np.abs(zP[d]), sig2 * zlen[d], _normal(u[0]), u[1])
+        L = zlen[d] * frac
+        s.g[d] = zt[d] + L
+        s.inf[d] = np.minimum(s.inf[d], 0.5 * (zP[d] - np.sqrt(
+            zP[d] ** 2 - 2.0 * sig2 * L * np.log1p(-u[2]))))
+        # strong Markov property at the stop: from x the future infimum is
+        # x - E with E ~ Exp(2 mu / sigma^2); the path returns to 0 iff
+        # x - E <= 0, after an inverse Gaussian hitting time (mean |x|/mu,
+        # shape x^2/sigma^2), and the last zero of a fresh path from 0 is
+        # Gamma(1/2, 2 sigma^2 / mu^2), that is sigma^2/mu^2 z^2
+        every = np.arange(rows)
+        e = -np.log1p(-unif.take(every)) * (0.5 * sig2 / mu_rate)
+        s.inf = np.minimum(s.inf, s.x - e)
+        ret = np.flatnonzero(e >= s.x)
+        xr = np.abs(s.x[ret])
+        u = unif.take(ret, 3)
+        a, c = _wald_split(xr / sig, mu_rate / sig, 1.0, _normal(u[0]), u[1])
+        s.g[ret] = t_stop[ret] + a / c + sig2 / mu_rate**2 * _normal(u[2]) ** 2
+        s.store(out, lo, m, rank)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# jump route: Beta(beta < 2) on a grid of dt steps
+# ---------------------------------------------------------------------------
 
 
 def _run_grid(
@@ -316,29 +782,18 @@ def _run_grid(
     gain_fn,
     jumper,
     want_gint: bool,
-    batch_filter=None,
-    block: int = BLOCK,
+    todo,
 ):
+    """Compound-Poisson approximation on a grid of ``cfg.dt`` steps, run to
+    b; events are read off the grid points (see the module docstring)."""
     dt = cfg.dt
-    exact = jumper is None  # bridge events and exact continuation
-    # paths stop at the top level: the top threshold, or b on the jump route
-    # and when there are no thresholds
-    levels, rank = _levels(a_arr, b, not exact or a_arr.size == 0)
-    # step maxima only serve reported passages: without thresholds a path
-    # stops at its first grid point above b, a stopping time too, so the
-    # exact continuation from there keeps its law
-    bridge_max = exact and a_arr.size > 0
+    levels, rank = _levels(a_arr, b, True)
     drift = mu_rate * dt
     sigstep = sig * math.sqrt(dt)
-    var_step = sig * sig * dt
-    reach = math.sqrt(BRIDGE_REACH * var_step)
-    # the union of the intervals (level - reach, level], merged where they overlap
-    gap = np.diff(levels) > reach
-    near_lo = np.append(levels[0], levels[1:][gap]) - reach
-    near_hi = np.append(levels[:-1][gap], levels[-1])
+    block = BLOCK
     steps = (levels[-1] - min(start, 0.0)) / max(mu_rate, 1e-12) / dt
     cap = _block_cap(steps, "steps", block)
-    out, todo = _batches(cfg, start, a_arr.size, batch_filter)
+    out = _outputs(cfg, start, a_arr.size)
     jgrid = np.arange(block)
     # one generator per group slot of a batch, moved to each batch's group
     # streams by setting its state, which is five times cheaper than a new one
@@ -362,45 +817,18 @@ def _run_grid(
                 gens[gi].standard_normal(out=inc[gbound[j] : gbound[j + 1]])
             inc *= sigstep
             inc += drift
-            if not exact:
-                for j, gi in enumerate(live):
-                    inc[gbound[j] : gbound[j + 1]] += jumper(
-                        gens[gi], gbound[j + 1] - gbound[j], block
-                    )
+            for j, gi in enumerate(live):
+                inc[gbound[j] : gbound[j + 1]] += jumper(
+                    gens[gi], gbound[j + 1] - gbound[j], block
+                )
             X = np.cumsum(inc, axis=1)
             X += s.x[idx, None]
-            P = np.empty_like(X)
-            P[:, 0] = s.x[idx]
-            P[:, 1:] = X[:, :-1]
-            if bridge_max:
-                # passages: step maxima from the bridge law, drawn only on
-                # steps whose end points lie within reach below a level still
-                # pending at the start of the block (done levels form a prefix)
-                high = np.maximum(P, X)
-                plo = levels[s.done[idx].sum(axis=1)]
-                cand = high > (plo - reach)[:, None]
-                # one merged interval starts at most at plo - reach, so only its
-                # upper end is left: two comparisons cost a tenth of a searchsorted
-                if near_lo.size == 1:
-                    cand &= high <= near_hi[0]
-                else:
-                    cand &= np.searchsorted(near_lo, high) > np.searchsorted(near_hi, high)
-                _bridge_refine(high, cand, P, X, inc, gens, live, gbound, var_step, 1.0)
-            else:
-                high = X
-            first = _first_passages(levels, np.maximum.accumulate(high, axis=1))
+            first = _first_passages(levels, np.maximum.accumulate(X, axis=1))
             kstop = first[:, -1]  # == block when the path goes on
             stop = np.flatnonzero(kstop < block)
-            low = np.minimum(P, X) if exact else X.copy()
+            low = X.copy()
             if stop.size:
                 low[stop] = np.where(jgrid > kstop[stop, None], np.inf, low[stop])
-            if exact:
-                # zero dips and the infimum: step minima from the bridge law,
-                # drawn only on steps within reach above 0 or above the
-                # lowest point so far
-                ref = np.minimum(s.inf[idx], low.min(axis=1))[:, None]
-                cand = (low < ref + reach) | ((low > 0.0) & (low < reach))
-                _bridge_refine(low, cand, P, X, inc, gens, live, gbound, var_step, -1.0)
             t0 = s.clock[idx]
             rws, jlast = _last_true(low <= 0.0)
             s.g[idx[rws]] = (t0[rws] + jlast + 1) * dt
@@ -408,6 +836,9 @@ def _run_grid(
             r, l, k = s.passages(idx, first, block)
             s.tau[idx[r], l] = (t0[r] + k + 1) * dt
             if want_gint:
+                P = np.empty_like(X)
+                P[:, 0] = s.x[idx]
+                P[:, 1:] = X[:, :-1]
                 cg = np.cumsum(gain_fn(P), axis=1) * dt
                 s.gint[idx[r], l] = s.gint_cum[idx[r]] + cg[r, k]
                 s.gint_cum[idx] += cg[:, -1]
@@ -418,26 +849,6 @@ def _run_grid(
                 s.x[rs] = X[stop, kstop[stop]]
                 s.clock[rs] = t0[stop] + kstop[stop] + 1
                 s.alive[rs] = False
-        if exact:
-            # strong Markov property at the stop: from x the future infimum
-            # is x - E with E ~ Exp(2 mu / sigma^2); the path returns to 0
-            # iff x - E <= 0, after an inverse Gaussian hitting time, and
-            # the last zero of a fresh path from 0 is Gamma(1/2, 2 sigma^2 / mu^2)
-            t_stop = s.clock * dt
-            for j, gen in enumerate(gens[:ng]):
-                sl = slice(j * GROUP, (j + 1) * GROUP)
-                xs = s.x[sl]
-                e = gen.standard_exponential(GROUP) * (0.5 * sig * sig / mu_rate)
-                s.inf[sl] = np.minimum(s.inf[sl], xs - e)
-                ret = np.flatnonzero(e >= xs)
-                if ret.size:
-                    xr = np.abs(xs[ret])
-                    shape = (xr / sig) ** 2
-                    hit = np.zeros(ret.size)
-                    pos = shape > 0.0  # from x = 0 the return is immediate
-                    hit[pos] = gen.wald(xr[pos] / mu_rate, shape[pos])
-                    last = gen.gamma(0.5, 2.0 * (sig / mu_rate) ** 2, ret.size)
-                    s.g[sl][ret] = t_stop[sl][ret] + hit + last
         s.store(out, lo, m, rank)
     return out
 
@@ -455,7 +866,7 @@ def _run_cl(
     b: float,
     a_arr: np.ndarray,
     want_gint: bool,
-    batch_filter=None,
+    todo,
 ):
     lam, rho, mu = model.lam, model.rho, model.mu
     r, k = law.r, law.k
@@ -472,7 +883,7 @@ def _run_cl(
     levels, rank = _levels(a_arr, b, True)
     psi_gain_lv = psi_gain(levels)
     cap = _block_cap(lam * (b - min(start, 0.0)) / (mu - lam / rho), "claims", K)
-    out, todo = _batches(cfg, start, a_arr.size, batch_filter)
+    out = _outputs(cfg, start, a_arr.size)
     segs = np.arange(K)
     for lo, m in todo:
         gen = _batch_gen(cfg.base_seed, lo // BATCH)
@@ -608,11 +1019,11 @@ def simulate_paths(
 ) -> dict:
     """Run all paths; returns arrays g, tau, inf_depth, gint (see engines).
 
-    The diffusion route always detects zero dips and passages from the
-    bridge law, so ``exact_crossings`` changes nothing there; the jump
-    route has no bridge law and refuses it.  On the diffusion route
-    ``infimum_mode`` selects the shorter block of the coarse-step infimum
-    sampler.  ``start`` and the levels must be finite.
+    The Brownian route draws every event from the bridge laws at a step
+    set by ``run_step``, so ``cfg.dt``, ``infimum_mode`` and
+    ``exact_crossings`` change nothing there; the jump route steps in
+    ``cfg.dt``, has no bridge law and refuses ``exact_crossings``.
+    ``start`` and the levels must be finite.
     """
     ev = ScaleEvaluator(model)
     b = resolve_barrier(ev, cfg.tail_eps)
@@ -627,20 +1038,33 @@ def simulate_paths(
         )
     if isinstance(model, CramerLundberg):
         # the event engine is exact already
-        return _run_cl(model, ev.law, cfg, start, b, a_arr, want_gint, batch_filter)
+        return _run_cl(model, ev.law, cfg, start, b, a_arr, want_gint,
+                       _todo(cfg.n_paths, batch_filter, False))
+    todo = _todo(cfg.n_paths, batch_filter, True)
     equiv = model.brownian_equivalent()
     if equiv is not None:
-        mu, sig, jumper = equiv.mu, equiv.sigma, None
-    else:  # BetaFamily(beta < 2)
-        _, _, var_small, mu_eff = beta_jump_params(model.beta)
-        mu, sig = mu_eff, math.sqrt(var_small)
-        jumper = _beta_jumper(model.beta, cfg.dt)
-    if exact_crossings and jumper is not None:
+        return _run_bridge(cfg, start, b, a_arr, equiv.mu, equiv.sigma, ev.gain, want_gint,
+                           run_step(model, cfg, a_arr.size > 0, want_gint), todo)
+    if exact_crossings:
         raise ValueError("exact_crossings requires a jump-free diffusion route")
-    block = INFIMUM_BLOCK if infimum_mode and jumper is None else BLOCK
-    return _run_grid(
-        cfg, start, b, a_arr, mu, sig, ev.gain, jumper, want_gint, batch_filter, block
-    )
+    # BetaFamily(beta < 2)
+    _, _, var_small, mu_eff = beta_jump_params(model.beta)
+    return _run_grid(cfg, start, b, a_arr, mu_eff, math.sqrt(var_small), ev.gain,
+                     _beta_jumper(model.beta, cfg.dt), want_gint, todo)
+
+
+def run_step(model: LevyModel, cfg: McConfig, levels: bool = False,
+             want_gint: bool = False) -> float:
+    """The step a run of ``model`` takes.  On the Brownian route it is a
+    fixed share of the model's time scale sigma^2/mu^2: GAIN_STEP for runs
+    that integrate the gain, THRESHOLD_STEP for runs with thresholds and
+    INFIMUM_STEP for runs without.  Elsewhere it is ``cfg.dt`` (which the
+    exact CramerLundberg engine does not use)."""
+    equiv = model.brownian_equivalent()
+    if equiv is None:
+        return cfg.dt
+    share = GAIN_STEP if want_gint else THRESHOLD_STEP if levels else INFIMUM_STEP
+    return share * (equiv.sigma / equiv.mu) ** 2
 
 
 def sample_path_events(
@@ -650,20 +1074,16 @@ def sample_path_events(
     a_list=(),
     want_gint: bool = False,
 ) -> PathEvents:
-    """Functionals of one path, by simulating only its RNG batch.
+    """Functionals of one path, by simulating only its RNG group (its batch
+    on the CramerLundberg engine, whose streams are per batch).
 
     The result for a given (base_seed, path_index) is identical whatever
     n_paths is, as long as path_index < n_paths.
     """
     if not 0 <= path_index < cfg.n_paths:
         raise ValueError(f"path_index {path_index} outside [0, {cfg.n_paths})")
-    res = simulate_paths(
-        model,
-        cfg,
-        a_levels=a_list,
-        want_gint=want_gint,
-        batch_filter={path_index // BATCH},
-    )
+    res = simulate_paths(model, cfg, a_levels=a_list, want_gint=want_gint,
+                         batch_filter=_GroupFilter(path_index // GROUP))
     i = path_index
     return PathEvents(
         g=float(res["g"][i]),
@@ -760,26 +1180,23 @@ def estimate_laplace_g(
 
 
 def infimum_config(model: LevyModel, cfg: McConfig, step: float | None = None) -> McConfig:
-    """``cfg`` with the step ``sample_infimum`` runs at: ``step`` when given,
-    else INFIMUM_STEP sigma^2/mu^2 of the model's Brownian equivalent, else
-    ``cfg.dt`` (the jump route; the CramerLundberg engine has no step)."""
-    if step is None:
-        equiv = model.brownian_equivalent()
-        if equiv is None:
-            return cfg
-        step = INFIMUM_STEP * (equiv.sigma / equiv.mu) ** 2
+    """``cfg`` with the step ``sample_infimum`` runs at as its ``dt``: on the
+    Brownian route ``run_step``'s for a run without thresholds, elsewhere
+    ``step`` when given, else ``cfg.dt``."""
+    if step is None or model.brownian_equivalent() is not None:
+        step = run_step(model, cfg)
     return dataclasses.replace(cfg, dt=step)
 
 
 def sample_infimum(model: LevyModel, cfg: McConfig, step: float | None = None) -> np.ndarray:
     """Sampled depths of the all-time infimum, one per path.
 
-    For the Brownian route the per-step minimum uses the exact bridge law,
+    On the Brownian route the step minima come from the exact bridge law,
     a path stops at its first grid point above b, and the infimum after it
-    is drawn exactly, so the default coarse step, INFIMUM_STEP in units of
-    the model's time scale sigma^2/mu^2, costs nothing in accuracy; an
-    explicit ``step`` is absolute.  CramerLundberg infima are exact up to
-    the barrier passage, which bounds their cutoff bias by tail_eps.
+    is drawn exactly, so the run takes the coarse step of ``run_step``
+    whatever ``step`` says.  On the jump route an explicit ``step`` replaces
+    ``cfg.dt``.  CramerLundberg infima are exact up to the barrier passage,
+    which bounds their cutoff bias by tail_eps.
     """
     res = simulate_paths(model, infimum_config(model, cfg, step), infimum_mode=True)
     return res["inf_depth"]

@@ -9,7 +9,7 @@ from scipy import integrate
 
 from lastzero.cli import main
 from lastzero.convolution import conv_analytic
-from lastzero.mc import INFIMUM_STEP
+from lastzero.mc import INFIMUM_STEP, THRESHOLD_STEP
 from lastzero.models import BetaFamily
 from lastzero.scale import ScaleEvaluator
 
@@ -276,19 +276,22 @@ def test_simulate_pair_median(capsys):
 
 
 def test_simulate_pair_median_reports_its_step(capsys):
-    # Brownian infima run at INFIMUM_STEP sigma^2/mu^2 whatever --dt is, and
-    # the dt column says so; the other routes run at --dt
-    for model, step in (
-        (("--model", "bm", "--mu", "0.5"), 4.0 * INFIMUM_STEP),
-        (("--model", "beta"), 2.0 * INFIMUM_STEP),
-        (("--model", "cl"), 0.01),
-    ):
-        rc, out = run(
-            capsys, "simulate", *model, "--quantity", "pair-median",
-            "--paths", "64", "--dt", "0.01",
-        )
-        assert rc == 0
-        assert float(csv_rows(out)[1][0]["dt"]) == pytest.approx(step, rel=1e-12)
+    # Brownian runs take a share of sigma^2/mu^2 whatever --dt is (INFIMUM_STEP
+    # without thresholds, THRESHOLD_STEP with), and the dt column says so;
+    # the other routes run at --dt
+    for quantity, share in (("pair-median", INFIMUM_STEP), ("expected-g", INFIMUM_STEP),
+                            ("mae", THRESHOLD_STEP)):
+        for model, step in (
+            (("--model", "bm", "--mu", "0.5"), 4.0 * share),
+            (("--model", "beta"), 2.0 * share),
+            (("--model", "cl"), 0.01),
+        ):
+            rc, out = run(
+                capsys, "simulate", *model, "--quantity", quantity,
+                "--paths", "64", "--dt", "0.01",
+            )
+            assert rc == 0
+            assert float(csv_rows(out)[1][0]["dt"]) == pytest.approx(step, rel=1e-12)
 
 
 def test_simulate_pair_median_refuses_fewer_than_two_pairs(capsys):
@@ -314,9 +317,9 @@ def test_simulate_bad_tail_eps_exits_2(capsys):
 
 def test_simulate_refuses_runaway_step_count(capsys):
     # dt = 1e-300 would need about 3e303 steps per path; refused before the
-    # first block
+    # first block (only the Beta jump route steps in dt)
     assert main([
-        "simulate", "--model", "bm", "--quantity", "expected-g",
+        "simulate", "--model", "beta", "--beta", "1.5", "--quantity", "expected-g",
         "--paths", "2", "--dt", "1e-300",
     ]) == 2
     assert "steps per path" in capsys.readouterr().err

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from lastzero.mc import (
 )
 from lastzero.models import BetaFamily, BrownianDrift, CramerLundberg, LevyModel
 from lastzero.scale import ScaleEvaluator
+from lastzero.stopping import V_a_at, V_at, expected_g, solve
 
 BM = BrownianDrift(1.0, 1.0)
 CL = CramerLundberg(2.0, 1.0, 1.0)
@@ -74,8 +76,6 @@ def test_coarse_step_brownian_is_unbiased():
     # the bridge law for zero dips and passages plus the exact continuation
     # after tau_a leave only the O(dt) time stamping: at dt = 0.02 the plain
     # grid scan misses about a tenth of E(g) (12 standard errors here)
-    from lastzero.stopping import V_at, expected_g, solve
-
     ev, rule = solve(BM)
     cfg = McConfig(n_paths=40000, base_seed=11, dt=0.02)
     rep = estimate_expected_g(BM, cfg)
@@ -158,8 +158,6 @@ def test_mean_g_and_passage_cramer_lundberg():
 
 
 def test_value_estimate_cramer_lundberg():
-    from lastzero.stopping import V_at, solve
-
     ev, rule = solve(CL)
     cfg = McConfig(n_paths=20000, base_seed=9)
     rep = estimate_value(CL, cfg, a=rule.a_star)
@@ -209,10 +207,16 @@ def test_infimum_law_cramer_lundberg():
 
 
 def test_infimum_scale_covariance():
-    # the default step is INFIMUM_STEP sigma^2/mu^2: in model units, with
-    # space in sigma^2/mu, every Brownian model draws the same infima
+    # every Brownian run steps in model units (time in sigma^2/mu^2, space
+    # in sigma^2/mu) and stamps its events exactly, so every Brownian model
+    # draws the same infima, and the same g and tau from levels in those
+    # units, with thresholds (a* and the small 0.1 a*, whose steps split)
+    # and without
     cfg = McConfig(n_paths=2048, base_seed=21)
+    a = solve(BM)[1].a_star
     ref = sample_infimum(BM, cfg)
+    ref_a = simulate_paths(BM, cfg, a_levels=(a, 0.1 * a))
+    ref_g = simulate_paths(BM, cfg)["g"]
     for model, mu, sig in (
         (BrownianDrift(0.1, 1.0), 0.1, 1.0),
         (BrownianDrift(10.0, 1.0), 10.0, 1.0),
@@ -221,6 +225,11 @@ def test_infimum_scale_covariance():
         (BetaFamily(2.0), 1.0, math.sqrt(2.0)),  # BrownianDrift(1, sqrt 2)
     ):
         np.testing.assert_allclose(sample_infimum(model, cfg) * mu / sig**2, ref, rtol=1e-11)
+        time = (sig / mu) ** 2
+        res = simulate_paths(model, cfg, a_levels=(a * sig**2 / mu, 0.1 * a * sig**2 / mu))
+        np.testing.assert_allclose(res["g"] / time, ref_a["g"], rtol=1e-11)
+        np.testing.assert_allclose(res["tau"] / time, ref_a["tau"], rtol=1e-11)
+        np.testing.assert_allclose(simulate_paths(model, cfg)["g"] / time, ref_g, rtol=1e-11)
 
 
 def test_infimum_cost_independent_of_scale(monkeypatch):
@@ -239,6 +248,81 @@ def test_infimum_cost_independent_of_scale(monkeypatch):
         blocks.append(0)
         sample_infimum(BrownianDrift(mu, 1.0), McConfig(n_paths=4096, base_seed=8))
     assert blocks[0] == blocks[1] == blocks[2] > 0
+
+
+def test_threshold_cost_independent_of_scale(monkeypatch):
+    # threshold runs step in model units too: MAE at a* runs as many blocks
+    # whatever mu is
+    running = mc._Batch.running
+    blocks = []
+
+    def counted(self):
+        idx = running(self)
+        blocks[-1] += bool(idx.size)
+        return idx
+
+    monkeypatch.setattr(mc._Batch, "running", counted)
+    for mu in (0.1, 1.0, 10.0):
+        blocks.append(0)
+        model = BrownianDrift(mu, 1.0)
+        estimate_mean_abs_error(model, McConfig(n_paths=4096, base_seed=8), solve(model)[1].a_star)
+    assert blocks[0] == blocks[1] == blocks[2] > 0
+
+
+@pytest.mark.parametrize("mu", [10.0, 30.0])
+def test_brownian_events_unbiased_at_any_scale(mu):
+    # passages and the last zero are drawn at their exact times within a
+    # step, so E(g) and E|g - tau_a*| carry no step bias however steep the
+    # drift (stamped at the end of 1e-3 steps they were off by +16 and -8
+    # standard errors at mu = 10, by +196 and -91 at mu = 30)
+    model = BrownianDrift(mu, 1.0)
+    ev, rule = solve(model)
+    n = 200_000
+    res = simulate_paths(model, McConfig(n_paths=n, base_seed=int(mu)), a_levels=(rule.a_star,))
+    g, err = res["g"], np.abs(res["g"] - res["tau"][:, 0])
+    for vals, want in ((g, expected_g(model)), (err, V_at(ev, rule, 0.0) + expected_g(model))):
+        assert abs(vals.mean() - want) <= 4.0 * vals.std(ddof=1) / math.sqrt(n)
+
+
+def test_value_unbiased_at_steep_drift():
+    # the gain integral's step is a share of sigma^2/mu^2, so its bias is
+    # that of BM(1, 1) at every scale (a step of 1e-3 was -409 standard
+    # errors off at BM(30, 1) and 2e5 paths)
+    model = BrownianDrift(30.0, 1.0)
+    ev, rule = solve(model)
+    rep = estimate_value(model, McConfig(n_paths=20_000, base_seed=30), rule.a_star)
+    assert abs(rep.estimate - V_at(ev, rule, 0.0)) <= 4.0 * rep.std_error
+
+
+def test_small_threshold_mean_abs_error():
+    # at a = 0.1 a* zero and the threshold lie within one step's reach of
+    # each other, so the steps that may hold both the last zero and the
+    # passage are split until they do not
+    ev, rule = solve(BM)
+    a = 0.1 * rule.a_star
+    rep = estimate_mean_abs_error(BM, McConfig(n_paths=50_000, base_seed=12), a)
+    assert abs(rep.estimate - (V_a_at(ev, rule.table, a, 0.0) + expected_g(BM))) <= 4.0 * rep.std_error
+
+
+def test_event_and_jump_routes_unchanged():
+    # the CramerLundberg engine and the Beta jump route draw and compute as
+    # they did before the Brownian route stamped events exactly; the arrays
+    # were saved from that version
+    ref = np.load(Path(__file__).parent / "data" / "cl_beta_paths.npz")
+    runs = {
+        "cl_levels": (CL, McConfig(n_paths=1100, base_seed=4),
+                      dict(a_levels=(0.9, 0.2, 1.5, 0.0), want_gint=True)),
+        "cl_start": (CL, McConfig(n_paths=1100, base_seed=4),
+                     dict(start=-0.5, a_levels=(0.7,), want_gint=True)),
+        "cl_none": (CL, McConfig(n_paths=1100, base_seed=4), {}),
+        "beta_levels": (BetaFamily(1.5), McConfig(n_paths=40, base_seed=5, dt=1e-2),
+                        dict(a_levels=(0.3, 0.8), want_gint=True)),
+        "beta_none": (BetaFamily(1.5), McConfig(n_paths=40, base_seed=5, dt=1e-2), {}),
+    }
+    for tag, (model, cfg, kw) in runs.items():
+        res = simulate_paths(model, cfg, **kw)
+        for key, arr in res.items():
+            assert np.array_equal(arr, ref[f"{tag}_{key}"]), (tag, key)
 
 
 def test_pair_median_pairing():

@@ -124,6 +124,7 @@ GROUP = 16  # paths per RNG stream of the grid engines
 BLOCK = 256  # steps drawn per block: the jump route's, and the bridge route's most
 BLOCK_MIN = 4  # the bridge route's fewest steps per block
 BLOCK_SPAN = 4.0  # mean path lengths a bridge-route block spans
+BLOCK_GROW = 8  # bridge-route blocks per doubling of the block length (up to 8 times)
 # a bridge piece of length t whose end points lie at distances p, x on one
 # side of a level with p x > BRIDGE_REACH sigma^2 t reaches it with
 # probability exp(-2 p x / (sigma^2 t)) < exp(-2 BRIDGE_REACH) < 2^-53
@@ -137,7 +138,7 @@ BETA_JUMP_CUTOFF = 1e-2  # |y| below this is folded into the Gaussian proxy
 # thresholds, and with gain integrals (a left Riemann sum, the one quantity
 # that the step still biases)
 INFIMUM_STEP = 8.0
-THRESHOLD_STEP = 0.25
+THRESHOLD_STEP = 0.125
 GAIN_STEP = 1e-3
 # a run is refused when its paths would take more Euler steps or claims than
 # this on average (BM(1,1) to b: about 3.5e3 steps; CL(1.3,1,1): about 100 claims)
@@ -518,11 +519,9 @@ def _run_bridge(
     nl = levels.size
     pending = np.append(levels, np.inf)  # lowest pending level by done count
     steps = (levels[-1] - min(start, 0.0)) / max(mu_rate, 1e-12) / h
-    block = _block_steps(steps)
-    cap = _block_cap(steps, "steps", block)
+    base = _block_steps(steps)
+    cap = _block_cap(steps, "steps", base)
     out = _outputs(cfg, start, a_arr.size)
-    jgrid = np.arange(block)
-    tgrid = np.arange(block + 1) * h  # grid point times within a block
     gens = [_batch_gen(cfg.base_seed, 0) for _ in range(-(-min(cfg.n_paths, BATCH) // GROUP))]
     fresh = gens[0].bit_generator.state
     for lo, m in todo:
@@ -545,6 +544,11 @@ def _run_bridge(
         zm = np.full(rows, np.inf)
         while (idx := s.running()).size:
             R = idx.size
+            # the few paths still running after BLOCK_GROW blocks take ever
+            # longer blocks: the length depends on the block's index only
+            block = base << min((s.blocks - 1) // BLOCK_GROW, 3)
+            jgrid = np.arange(block)
+            tgrid = np.arange(block + 1) * h  # grid point times within the block
             live, gstart = np.unique(idx // GROUP, return_index=True)
             gbound = np.append(gstart, R)
             inc = np.empty((R, block))

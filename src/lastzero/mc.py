@@ -41,8 +41,10 @@ Scheme by family:
   both).  The step is a fixed share of the time scale sigma^2/mu^2
   (``run_step``: INFIMUM_STEP without thresholds, THRESHOLD_STEP with,
   GAIN_STEP for gain integrals, which stay a left Riemann sum closed at
-  the passage), so every Brownian model takes as many steps; a block
-  spans BLOCK_SPAN mean path lengths, in [BLOCK_MIN, BLOCK] steps.  A path
+  the passage), so every Brownian model takes as many steps.  A block
+  spans BLOCK_SPAN mean path lengths, in [BLOCK_MIN, BLOCK] steps, and
+  doubles every BLOCK_GROW blocks, up to eight times, so that the few slow
+  paths take few blocks (its length depends on its index only).  A path
   stops at its first grid point above b when there are no thresholds, else
   at the end of the block in which it passes the top threshold, and its
   future is drawn exactly (strong Markov property at the fixed time t, at
@@ -107,6 +109,7 @@ __all__ = [
     "simulate_paths",
     "sample_path_events",
     "infimum_config",
+    "run_step",
     "sample_infimum",
     "infimum_pair_sum_median",
     "estimate_mean_abs_error",
@@ -140,8 +143,9 @@ BETA_JUMP_CUTOFF = 1e-2  # |y| below this is folded into the Gaussian proxy
 INFIMUM_STEP = 8.0
 THRESHOLD_STEP = 0.125
 GAIN_STEP = 1e-3
-# a run is refused when its paths would take more Euler steps or claims than
-# this on average (BM(1,1) to b: about 3.5e3 steps; CL(1.3,1,1): about 100 claims)
+# a run is refused when its paths would take more steps or claims than this
+# on average (BM(1,1) to a* at THRESHOLD_STEP: about 7 steps; CL(1.3,1,1) to b:
+# about 100 claims)
 MAX_STEPS_PER_PATH = 1e7
 
 
@@ -350,12 +354,6 @@ def _block_steps(steps: float) -> int:
     return int(min(BLOCK, max(BLOCK_MIN, 2 ** math.ceil(math.log2(span)))))
 
 
-def _rows(mask: np.ndarray):
-    """The rows where ``mask`` holds, or all rows (a slice, which indexes
-    without a copy) when most do."""
-    return slice(None) if 2 * mask.sum() > mask.size else np.flatnonzero(mask)
-
-
 def _group_runs(keys: np.ndarray):
     """The distinct values of an ascending array, the index of each one's
     first occurrence, and its count."""
@@ -385,8 +383,9 @@ class _Pool:
         left = self.fill[g] - self.cur[g]
         if left < n:
             size = max(2 * n, RESERVE)  # twice the need: fewer draws, little waste
-            if size > self.buf.shape[1]:
-                self.buf = np.pad(self.buf, ((0, 0), (0, max(size, 2 * self.buf.shape[1]) - self.buf.shape[1])))
+            width = self.buf.shape[1]
+            if size > width:
+                self.buf = np.pad(self.buf, ((0, 0), (0, max(size, 2 * width) - width)))
             self.buf[g, :left] = self.buf[g, self.cur[g] : self.fill[g]].copy()
             self.gens[g].random(out=self.buf[g, left:size])
             self.cur[g], self.fill[g] = 0, size
@@ -405,12 +404,12 @@ class _Pool:
             # many values per group: copy slices, and draw what a reserve
             # lacks straight into place
             out = np.empty(rows.size)
-            for g, a, n, c, k in zip(*(v.tolist() for v in (ug, first, cnt, cur, left))):
-                if k >= n:
+            for g, a, n, c, have in zip(*(v.tolist() for v in (ug, first, cnt, cur, left))):
+                if have >= n:
                     out[a : a + n] = self.buf[g, c : c + n]
                 else:
-                    out[a : a + k] = self.buf[g, c : c + k]
-                    self.gens[g].random(out=out[a + k : a + n])
+                    out[a : a + have] = self.buf[g, c : c + have]
+                    self.gens[g].random(out=out[a + have : a + n])
             self.cur[ug] = np.minimum(cur + cnt, self.fill[ug])
             return out
         for i in np.flatnonzero(left < cnt):
@@ -419,7 +418,6 @@ class _Pool:
         out = self.buf[grp, self.cur[grp] + np.arange(rows.size) - np.repeat(first, cnt)]
         self.cur[ug] += cnt
         return out
-
 
 
 def _normal(u):
@@ -538,8 +536,9 @@ def _run_bridge(
         unif = _Pool(gens, first[g0 : g0 + ng])
         s = _Batch(rows, rows, start, levels, cap, np.int64, closed=True)
         t_stop = np.zeros(rows)
-        # per row, the step piece of its latest touch of 0 that ends above 0
-        # (start time, ends, length; zm its drawn minimum, inf if none)
+        # per row, the piece of its latest touch of 0 that ends above 0: its
+        # start time zt, end points zP, zX, length zlen, and drawn minimum zm
+        # (inf if none)
         zt, zP, zX, zlen = np.zeros((4, rows))
         zm = np.full(rows, np.inf)
         while (idx := s.running()).size:
@@ -566,13 +565,15 @@ def _run_bridge(
                 cut = jgrid > kstop[:, None]  # the steps after the stop
                 P[cut] = X[cut] = np.inf
             t0 = s.clock[idx] * h
-            # the last grid point at or below 0 (at -1 if none): no step
-            # before it holds the last zero
-            tneg = np.where(P[:, 0] <= 0.0, 0.0, -1.0)
-            rz, kz = _last_true(X <= 0.0)
-            tneg[rz] = tgrid[kz + 1]
-            rz = np.flatnonzero(tneg >= 0.0)
-            kz = np.rint(tneg[rz] / h).astype(np.intp)
+            # the last grid point at or below 0, kz of rows rz, at time tneg
+            # (-1 if none): no step before it holds the last zero
+            kz = np.where(P[:, 0] <= 0.0, 0, -1)
+            rz, k = _last_true(X <= 0.0)
+            kz[rz] = k + 1
+            rz = np.flatnonzero(kz >= 0)
+            kz = kz[rz]
+            tneg = np.full(R, -1.0)
+            tneg[rz] = tgrid[kz]
             s.g[idx[rz]] = t0[rz] + tneg[rz]
             # a step reaches a level with probability above 2^-53 only when
             # its end points lie within reach of it, or across it: 0 after the
@@ -588,8 +589,10 @@ def _run_bridge(
             if with_levels:
                 done0 = s.done[idx].sum(axis=1)
                 # the lowest pending level at each step of the rows rh near
-                # one: levels below a grid point so far are passed for sure
-                rh = _rows(np.maximum(P[:, 0], X.max(axis=1)) > pending[done0] - reach)
+                # one (all rows, as a slice that indexes without a copy, when
+                # most are): levels below a grid point so far are passed for sure
+                near = np.maximum(P[:, 0], X.max(axis=1)) > pending[done0] - reach
+                rh = slice(None) if 2 * near.sum() > R else np.flatnonzero(near)
                 top = np.maximum.accumulate(P[rh], axis=1)
                 below = top > levels[0] if nl == 1 else np.searchsorted(levels, top)
                 plo = pending[np.maximum(done0[rh, None], below)]
@@ -623,7 +626,7 @@ def _run_bridge(
                     part = np.zeros(hr.size, bool)
                     part[shared] = True
                     part = np.repeat(part, count)
-                    hr, hk, hplo = np.repeat(hr, count), np.repeat(hk, count), np.repeat(hplo, count)
+                    hr, hk, hplo = (np.repeat(a, count) for a in (hr, hk, hplo))
                     cols = []
                     for col, new in zip((hs, he, hP, hX), (ps_, pe_, pP_, pX_)):
                         col = np.repeat(col, count)
@@ -664,7 +667,8 @@ def _run_bridge(
                             2.0 * p[un] * x[un] / (sig2 * rem[un]))
                         passed[sq[hit]] = True
                     # otherwise the first later piece whose maximum passes it
-                    cand = np.flatnonzero((hM > lj[slot]) & (active & ~passed)[slot] & (H > cur[slot]))
+                    cand = np.flatnonzero(
+                        (hM > lj[slot]) & (active & ~passed)[slot] & (H > cur[slot]))
                     if cand.size:
                         cs = slot[cand]
                         firsts = np.ones(cand.size, bool)
@@ -725,7 +729,8 @@ def _run_bridge(
                 pr_, ps_, pe_, pP_, pX_, pm_ = (a[k] for a in part)
                 e = np.flatnonzero(pX_ > 0.0)
                 rr = idx[pr_[e]]
-                zt[rr], zP[rr], zX[rr], zlen[rr] = t0[pr_[e]] + ps_[e], pP_[e], pX_[e], pe_[e] - ps_[e]
+                zt[rr], zP[rr], zX[rr] = t0[pr_[e]] + ps_[e], pP_[e], pX_[e]
+                zlen[rr] = pe_[e] - ps_[e]
                 zm[rr] = pm_[e]
                 part[5][k[e]] = np.inf
                 rows_, first_, _ = _group_runs(part[0])

@@ -301,7 +301,8 @@ def test_small_threshold_mean_abs_error():
     ev, rule = solve(BM)
     a = 0.1 * rule.a_star
     rep = estimate_mean_abs_error(BM, McConfig(n_paths=50_000, base_seed=12), a)
-    assert abs(rep.estimate - (V_a_at(ev, rule.table, a, 0.0) + expected_g(BM))) <= 4.0 * rep.std_error
+    target = V_a_at(ev, rule.table, a, 0.0) + expected_g(BM)
+    assert abs(rep.estimate - target) <= 4.0 * rep.std_error
 
 
 def test_event_and_jump_routes_unchanged():

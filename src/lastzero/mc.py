@@ -30,10 +30,10 @@ Scheme by family:
   The last zero lies in a path's last touching step: its time is drawn
   once no later step can touch 0, and the step minimum then from the
   bridge from P to 0 over [0, L], which keeps g and the infimum jointly
-  exact.  A step whose end points lie further than sqrt(19 sigma^2 h) from
-  a level (p x > 19 sigma^2 h) reaches it with probability below 2^-53:
-  only steps within reach of 0, of the lowest grid point, or of a pending
-  level draw.  A step within reach of both 0 and a pending level, ending
+  exact (``bridge`` holds the route and its constants).  A step whose end
+  points lie further than sqrt(19 sigma^2 h) from a level (p x > 19
+  sigma^2 h) reaches it with probability below 2^-53: only steps within
+  reach of 0, of the lowest grid point, or of a pending level draw.  A step within reach of both 0 and a pending level, ending
   after the last grid point at or below 0, could hold both the last zero
   and a passage; it is split at Gaussian bridge midpoints (the Levy
   construction) until no piece is, deciding from the points drawn so far
@@ -67,7 +67,7 @@ time, gain integral and a done flag).  The event engine and the jump
 route share one passage search, which finds per block the first claim
 segment or step whose running maximum passes each sorted level, b
 included where paths run to it.  A run whose paths would
-take more than ``MAX_STEPS_PER_PATH`` steps or claims on average is
+take more than ``batch.MAX_STEPS_PER_PATH`` steps or claims on average is
 refused before its first block.
 
 Reproducibility contract: paths are organised in batches of ``BATCH``,
@@ -96,6 +96,19 @@ from functools import lru_cache
 import numpy as np
 from scipy import integrate, special
 
+from .batch import (
+    BATCH,
+    BLOCK,
+    GROUP,
+    _Batch,
+    _batch_gen,
+    _block_cap,
+    _first_passages,
+    _last_true,
+    _levels,
+    _outputs,
+)
+from .bridge import run_bridge
 from .models import CramerLundberg, LevyModel
 from .scale import ScaleEvaluator
 
@@ -122,18 +135,6 @@ __all__ = [
     "ks_critical",
 ]
 
-BATCH = 1024  # paths per batch: the unit of batch_filter and of the CL streams
-GROUP = 16  # paths per RNG stream of the grid engines
-BLOCK = 256  # steps drawn per block: the jump route's, and the bridge route's most
-BLOCK_MIN = 4  # the bridge route's fewest steps per block
-BLOCK_SPAN = 4.0  # mean path lengths a bridge-route block spans
-BLOCK_GROW = 8  # bridge-route blocks per doubling of the block length (up to 8 times)
-# a bridge piece of length t whose end points lie at distances p, x on one
-# side of a level with p x > BRIDGE_REACH sigma^2 t reaches it with
-# probability exp(-2 p x / (sigma^2 t)) < exp(-2 BRIDGE_REACH) < 2^-53
-BRIDGE_REACH = 19.0
-SPLIT_DEPTH = 30  # most halvings of a bridge step (a piece of h / 2^30 may hold both)
-RESERVE = 256  # uniforms each RNG group of the bridge route holds ready at a batch start
 EVENT_BLOCK = 64  # jump events drawn per block (CramerLundberg)
 BETA_JUMP_CUTOFF = 1e-2  # |y| below this is folded into the Gaussian proxy
 # bridge-route steps in units of the model's time scale sigma^2/mu^2, so that
@@ -143,10 +144,6 @@ BETA_JUMP_CUTOFF = 1e-2  # |y| below this is folded into the Gaussian proxy
 INFIMUM_STEP = 8.0
 THRESHOLD_STEP = 0.125
 GAIN_STEP = 1e-3
-# a run is refused when its paths would take more steps or claims than this
-# on average (BM(1,1) to a* at THRESHOLD_STEP: about 7 steps; CL(1.3,1,1) to b:
-# about 100 claims)
-MAX_STEPS_PER_PATH = 1e7
 
 
 def _is_int(v) -> bool:
@@ -163,7 +160,7 @@ class McConfig:
     ``dt`` is the grid step of the Beta jump route (beta < 2) only: the
     Brownian route takes its own step in model units (``run_step``) and
     the exact CramerLundberg engine none.  A run raises ValueError when its
-    paths would take more than ``MAX_STEPS_PER_PATH`` on average: steps to
+    paths would take more than ``batch.MAX_STEPS_PER_PATH`` on average: steps to
     the top level, (top - min(start, 0)) / (mu step), or claims to b,
     lam (b - min(start, 0)) / psi'(0+).
     """
@@ -217,35 +214,6 @@ def resolve_barrier(ev: ScaleEvaluator, tail_eps: float) -> float:
     return b
 
 
-def _batch_gen(base_seed: int, index: int) -> np.random.Generator:
-    """Stream ``index`` of ``base_seed``: Philox(key=base_seed).jumped(index),
-    set up through the counter, which is three times cheaper."""
-    return np.random.Generator(np.random.Philox(key=base_seed, counter=[0, 0, index, 0]))
-
-
-# ---------------------------------------------------------------------------
-# batch driver shared by the engines
-# ---------------------------------------------------------------------------
-
-
-def _levels(a_arr: np.ndarray, b: float, with_b: bool):
-    """The thresholds in ascending (stable) order, with b appended when
-    paths run to it, and the rank that maps them back to the input order."""
-    order = np.argsort(a_arr, kind="stable")
-    rank = np.empty_like(order)
-    rank[order] = np.arange(a_arr.size)
-    levels = a_arr[order]
-    return (np.append(levels, b) if with_b else levels), rank
-
-
-def _outputs(cfg: McConfig, start: float, na: int) -> dict:
-    """The result arrays; paths not run keep g = tau = gint = 0 and
-    inf_depth = -start."""
-    n = cfg.n_paths
-    return {"g": np.zeros(n), "tau": np.zeros((n, na)),
-            "inf_depth": np.full(n, -float(start)), "gint": np.zeros((n, na))}
-
-
 class _GroupFilter(frozenset):
     """A ``batch_filter`` naming the batch of one RNG group, ``group``: the
     event engine runs that batch, the grid engines only the group, whose
@@ -265,515 +233,6 @@ def _todo(n: int, batch_filter, by_group: bool) -> list[tuple[int, int]]:
         return [(lo, min(GROUP, n - lo))]
     return [(lo, min(BATCH, n - lo)) for lo in range(0, n, BATCH)
             if batch_filter is None or lo // BATCH in batch_filter]
-
-
-def _block_cap(per_path: float, unit: str, width: int) -> int:
-    """Blocks of ``width`` steps or claims a batch may take: 60 times the
-    expected path length plus a margin.  Refuses, with ValueError, a run
-    whose paths would need more than MAX_STEPS_PER_PATH of them."""
-    if not per_path <= MAX_STEPS_PER_PATH:
-        raise ValueError(f"paths need {per_path:.3g} {unit} per path, over {MAX_STEPS_PER_PATH:g}")
-    return int(60.0 * per_path / width) + 200
-
-
-def _first_passages(levels: np.ndarray, runmax: np.ndarray) -> np.ndarray:
-    """Per row and sorted level, the first column whose running maximum
-    passes the level (runmax > level), or the column count if none does:
-    the count of columns whose running maximum is still at or below it."""
-    first = np.empty((runmax.shape[0], levels.size), np.intp)
-    for j, v in enumerate(levels):
-        first[:, j] = (runmax <= v).sum(axis=1)
-    return first
-
-
-def _last_true(mask: np.ndarray):
-    """The rows of ``mask`` with a True entry, and the column of their last one."""
-    rows = np.flatnonzero(mask.any(axis=1))
-    return rows, mask.shape[1] - 1 - np.argmax(mask[rows, ::-1], axis=1)
-
-
-class _Batch:
-    """State of one batch's paths, one row each: position ``x``, ``clock``
-    (a step count on the grid, a time for the event engine), whether it is
-    ``alive``, the last zero ``g`` and infimum ``inf`` so far, and per
-    level its passage time ``tau``, ``gint`` up to it and whether it is
-    ``done``; ``gint_cum`` is the gain integral so far.  With ``closed``
-    a level at the start counts as passed at t = 0, as it is by a path of
-    infinite variation."""
-
-    def __init__(self, rows, live, start, levels, cap, clock=float, closed=False):
-        hit0 = start >= levels if closed else start > levels  # passed at t = 0
-        self.x = np.full(rows, float(start))
-        self.clock = np.zeros(rows, clock)
-        self.alive = np.zeros(rows, bool)
-        self.alive[:live] = not hit0[-1]  # else every path continues from t = 0
-        self.g = np.zeros(rows)
-        self.inf = np.full(rows, float(start))
-        self.tau = np.zeros((rows, levels.size))
-        self.gint = np.zeros((rows, levels.size))
-        self.done = np.tile(hit0, (rows, 1))
-        self.gint_cum = np.zeros(rows)
-        self.top, self.cap, self.blocks = levels[-1], cap, 0
-
-    def running(self) -> np.ndarray:
-        """The live rows; counts a block for them and raises ArithmeticError
-        once the cap is passed."""
-        idx = np.flatnonzero(self.alive)
-        if idx.size:
-            self.blocks += 1
-            if self.blocks > self.cap:
-                raise ArithmeticError(f"paths did not pass level {self.top:g} in {self.cap} blocks")
-        return idx
-
-    def passages(self, idx, first, K):
-        """(row in idx, level, column) of each level that row idx[row]
-        passes for the first time in this block; marks them done."""
-        r, l = np.nonzero((first < K) & ~self.done[idx])
-        self.done[idx[r], l] = True
-        return r, l, first[r, l]
-
-    def store(self, out, lo, m, rank):
-        """Copy the first m rows into the results from path lo on, with the
-        threshold columns back in input order (an appended b is dropped)."""
-        sl = slice(lo, lo + m)
-        out["g"][sl] = self.g[:m]
-        out["inf_depth"][sl] = -self.inf[:m]
-        out["tau"][sl] = self.tau[:m, rank]
-        out["gint"][sl] = self.gint[:m, rank]
-
-
-# ---------------------------------------------------------------------------
-# bridge engine: Brownian motion with drift, events at their exact times
-# ---------------------------------------------------------------------------
-
-
-def _block_steps(steps: float) -> int:
-    """Steps per block of the bridge route: BLOCK_SPAN mean path lengths,
-    rounded up to a power of two, within [BLOCK_MIN, BLOCK]."""
-    span = max(BLOCK_SPAN * steps, 1.0)
-    return int(min(BLOCK, max(BLOCK_MIN, 2 ** math.ceil(math.log2(span)))))
-
-
-def _group_runs(keys: np.ndarray):
-    """The distinct values of an ascending array, the index of each one's
-    first occurrence, and its count."""
-    new = np.empty(keys.size, bool)
-    new[:1] = True
-    np.not_equal(keys[1:], keys[:-1], out=new[1:])
-    first = np.flatnonzero(new)
-    return keys[first], first, np.diff(first, append=keys.size)
-
-
-class _Pool:
-    """Uniforms held in reserve per RNG group and handed out in request
-    order: a request for batch rows ``rows`` (ascending) gives each group's
-    rows the next values of that group's reserve.  The first reserve is
-    row g of ``first``; later ones come from the group's own stream.  So
-    what a path receives depends only on its group's requests, and a group
-    draws a few times per batch instead of once per request."""
-
-    def __init__(self, gens, first: np.ndarray):
-        self.gens = gens
-        self.buf = first
-        self.cur = np.zeros(first.shape[0], np.intp)
-        self.fill = np.full(first.shape[0], first.shape[1])
-
-    def reserve(self, g: int, n: int):
-        """Make at least n values ready for group g."""
-        left = self.fill[g] - self.cur[g]
-        if left < n:
-            size = max(2 * n, RESERVE)  # twice the need: fewer draws, little waste
-            width = self.buf.shape[1]
-            if size > width:
-                self.buf = np.pad(self.buf, ((0, 0), (0, max(size, 2 * width) - width)))
-            self.buf[g, :left] = self.buf[g, self.cur[g] : self.fill[g]].copy()
-            self.gens[g].random(out=self.buf[g, left:size])
-            self.cur[g], self.fill[g] = 0, size
-
-    def take(self, rows: np.ndarray, k: int = 0):
-        """One uniform per row, or with k > 0 an array of k per row (k by
-        len(rows))."""
-        if k:
-            return self.take(np.repeat(rows, k)).reshape(-1, k).T
-        bounds = np.searchsorted(rows, GROUP * np.arange(self.buf.shape[0] + 1))
-        ug = np.flatnonzero(bounds[1:] > bounds[:-1])
-        first, cnt = bounds[ug], bounds[ug + 1] - bounds[ug]
-        cur = self.cur[ug]
-        left = self.fill[ug] - cur
-        if rows.size > 64 * ug.size:
-            # many values per group: copy slices, and draw what a reserve
-            # lacks straight into place
-            out = np.empty(rows.size)
-            for g, a, n, c, have in zip(*(v.tolist() for v in (ug, first, cnt, cur, left))):
-                if have >= n:
-                    out[a : a + n] = self.buf[g, c : c + n]
-                else:
-                    out[a : a + have] = self.buf[g, c : c + have]
-                    self.gens[g].random(out=out[a + have : a + n])
-            self.cur[ug] = np.minimum(cur + cnt, self.fill[ug])
-            return out
-        for i in np.flatnonzero(left < cnt):
-            self.reserve(ug[i], cnt[i])
-        grp = np.repeat(ug, cnt)
-        out = self.buf[grp, self.cur[grp] + np.arange(rows.size) - np.repeat(first, cnt)]
-        self.cur[ug] += cnt
-        return out
-
-
-def _normal(u):
-    """Standard normals from uniforms on [0, 1), by inversion."""
-    return special.ndtri(np.maximum(u, 1e-300))
-
-
-def _wald_split(p, x, var, z, u):
-    """(s / (1 + s), 1 / (1 + s)) for s ~ Wald(p / x, p^2 / var), from one
-    normal z and one uniform u (Michael, Schucany & Haas), in a form that
-    stays finite as x -> 0, where s tends to the Levy law (p^2 / var) / z^2.
-
-    A Brownian bridge with variance var over its length, started at
-    distance p from a level and ending at distance x from it, first hits
-    the level, given that it does, at the first of these fractions of its
-    length; read backwards in time, its last visit to the level is at the
-    second with p and x swapped (Borodin & Salminen)."""
-    y = 4.0 * (p * p / var) / (np.abs(z) + np.sqrt(z * z + 4.0 * p * x / var)) ** 2
-    acc = u * y * x <= p * (1.0 - u)
-    d = p * p + x * x * y
-    d = np.where(d > 0.0, d, 1.0)  # p = 0: the level at the start, s = 0
-    return np.where(acc, y / (1.0 + y), p * p / d), np.where(acc, 1.0 / (1.0 + y), x * x * y / d)
-
-
-def _split(unif, grow, lrow, tneg, tstart, tend, P, X, ref, plo, pending, sig2):
-    """Levy construction: split each piece, from P at time tstart to X at
-    tend, at its bridge midpoint, N((P + X)/2, sig2 (tend - tstart)/4), and
-    the halves again, while a piece may hold both the last zero and a
-    passage: while 0 and the lowest pending level (``plo``; ``pending``
-    holds the levels, ascending, and inf) are both within reach of it (see
-    ``_run_bridge``) and it ends after the latest known point at or below 0
-    of its row (``tneg``, by local row ``lrow``; midpoints update it), for
-    at most SPLIT_DEPTH halvings.  The decisions read only points already
-    drawn, so each midpoint keeps its bridge law.
-
-    Returns (parent, start, end, P, X, near low, near high) of the final
-    pieces near a level, in (parent, time) order; a piece left at the
-    depth cap is near both."""
-    r2 = BRIDGE_REACH * sig2
-    F = np.stack([tstart, tend, P, X, ref, plo])
-    I = np.stack([np.arange(P.size), grow, lrow])
-    outs = []
-    for depth in range(SPLIT_DEPTH + 1):
-        tstart, tend, P, X, ref, plo = F
-        r2l = r2 * (tend - tstart)
-        near_lo = (P * X < r2l) | ((P - ref) * (X - ref) < r2l)
-        near_hi = (np.maximum(P, X) > plo) | ((plo - P) * (plo - X) < r2l)
-        both = (P * X < r2l) & near_hi
-        both &= tend > tneg[I[2]]
-        if depth == SPLIT_DEPTH:
-            both[:] = False
-        fin = np.flatnonzero(~both & (near_lo | near_hi))
-        outs.append((I[0, fin], F[:4, fin], near_lo[fin], near_hi[fin]))
-        if not both.any():
-            break
-        F, I = F[:, both], I[:, both]
-        tmid = 0.5 * (F[0] + F[1])
-        mid = 0.5 * (F[2] + F[3]) + np.sqrt(0.25 * sig2 * (F[1] - F[0])) * _normal(
-            unif.take(I[1]))
-        neg = mid <= 0.0
-        np.maximum.at(tneg, I[2, neg], tmid[neg])
-        F, I = np.repeat(F, 2, axis=1), np.repeat(I, 2, axis=1)
-        F[1, 0::2] = F[0, 1::2] = tmid
-        F[3, 0::2] = F[2, 1::2] = mid
-        # levels below a midpoint are passed before the half after it
-        F[5, 1::2] = np.maximum(F[5, 1::2], pending[np.searchsorted(pending, mid)])
-    parent = np.concatenate([o[0] for o in outs])
-    F = np.concatenate([o[1] for o in outs], axis=1)
-    order = np.lexsort((F[0], parent))
-    return (parent[order], *F[:, order], np.concatenate([o[2] for o in outs])[order],
-            np.concatenate([o[3] for o in outs])[order])
-
-
-def _run_bridge(
-    cfg: McConfig,
-    start: float,
-    b: float,
-    a_arr: np.ndarray,
-    mu_rate: float,
-    sig: float,
-    gain_fn,
-    want_gint: bool,
-    step: float,
-    todo,
-):
-    """The Brownian route: a skeleton of Gaussian steps of length ``step``,
-    with passages, the last zero and the infimum drawn from the bridge laws
-    of its pieces (see the module docstring)."""
-    h = step
-    sig2 = sig * sig
-    r2 = BRIDGE_REACH * sig2
-    r2h = r2 * h
-    reach = math.sqrt(r2h)
-    with_levels = a_arr.size > 0
-    # without thresholds paths stop at their first grid point above b
-    levels, rank = _levels(a_arr, b, not with_levels)
-    nl = levels.size
-    pending = np.append(levels, np.inf)  # lowest pending level by done count
-    steps = (levels[-1] - min(start, 0.0)) / max(mu_rate, 1e-12) / h
-    base = _block_steps(steps)
-    cap = _block_cap(steps, "steps", base)
-    out = _outputs(cfg, start, a_arr.size)
-    gens = [_batch_gen(cfg.base_seed, 0) for _ in range(-(-min(cfg.n_paths, BATCH) // GROUP))]
-    fresh = gens[0].bit_generator.state
-    for lo, m in todo:
-        ng = -(-m // GROUP)
-        rows = ng * GROUP  # the last group's padding rows run too
-        for j in range(ng):
-            fresh["state"]["counter"] = np.array([0, 0, lo // GROUP + j, 0], np.uint64)
-            gens[j].bit_generator.state = fresh
-        # the groups' first reserves: rows of one draw from the batch's own
-        # stream, far from every group stream
-        g0 = lo % BATCH // GROUP
-        first = np.random.Generator(np.random.Philox(
-            key=cfg.base_seed, counter=[0, 0, lo // BATCH, 1])).random((BATCH // GROUP, RESERVE))
-        unif = _Pool(gens, first[g0 : g0 + ng])
-        s = _Batch(rows, rows, start, levels, cap, np.int64, closed=True)
-        t_stop = np.zeros(rows)
-        # per row, the piece of its latest touch of 0 that ends above 0: its
-        # start time zt, end points zP, zX, length zlen, and drawn minimum zm
-        # (inf if none)
-        zt, zP, zX, zlen = np.zeros((4, rows))
-        zm = np.full(rows, np.inf)
-        while (idx := s.running()).size:
-            R = idx.size
-            # the few paths still running after BLOCK_GROW blocks take ever
-            # longer blocks: the length depends on the block's index only
-            block = base << min((s.blocks - 1) // BLOCK_GROW, 3)
-            jgrid = np.arange(block)
-            tgrid = np.arange(block + 1) * h  # grid point times within the block
-            live, gstart = np.unique(idx // GROUP, return_index=True)
-            gbound = np.append(gstart, R)
-            inc = np.empty((R, block))
-            for j, gi in enumerate(live):
-                gens[gi].standard_normal(out=inc[gbound[j] : gbound[j + 1]])
-            inc *= sig * math.sqrt(h)
-            inc += mu_rate * h
-            X = np.cumsum(inc, axis=1, out=inc)
-            X += s.x[idx, None]
-            P = np.empty_like(X)
-            P[:, 0] = s.x[idx]
-            P[:, 1:] = X[:, :-1]
-            if not with_levels:
-                kstop = (np.maximum.accumulate(X, axis=1) <= b).sum(axis=1)
-                cut = jgrid > kstop[:, None]  # the steps after the stop
-                P[cut] = X[cut] = np.inf
-            t0 = s.clock[idx] * h
-            # the last grid point at or below 0, kz of rows rz, at time tneg
-            # (-1 if none): no step before it holds the last zero
-            kz = np.where(P[:, 0] <= 0.0, 0, -1)
-            rz, k = _last_true(X <= 0.0)
-            kz[rz] = k + 1
-            rz = np.flatnonzero(kz >= 0)
-            kz = kz[rz]
-            tneg = np.full(R, -1.0)
-            tneg[rz] = tgrid[kz]
-            s.g[idx[rz]] = t0[rz] + tneg[rz]
-            # a step reaches a level with probability above 2^-53 only when
-            # its end points lie within reach of it, or across it: 0 after the
-            # last grid point at or below it, the lowest grid point (the
-            # infimum is no lower than that), and the lowest pending level
-            ref = np.minimum(s.inf[idx], X.min(axis=1))
-            low = np.minimum(P, X)
-            near_lo = (low < ref[:, None] + reach) | ((low > 0.0) & (low < reach))
-            del low
-            # the step from the last grid point at or below 0
-            after = np.flatnonzero(kz < block)
-            near_lo[rz[after], kz[after]] = True
-            if with_levels:
-                done0 = s.done[idx].sum(axis=1)
-                # the lowest pending level at each step of the rows rh near
-                # one (all rows, as a slice that indexes without a copy, when
-                # most are): levels below a grid point so far are passed for sure
-                near = np.maximum(P[:, 0], X.max(axis=1)) > pending[done0] - reach
-                rh = slice(None) if 2 * near.sum() > R else np.flatnonzero(near)
-                top = np.maximum.accumulate(P[rh], axis=1)
-                below = top > levels[0] if nl == 1 else np.searchsorted(levels, top)
-                plo = pending[np.maximum(done0[rh, None], below)]
-                near_hi = np.maximum(P[rh], X[rh]) > plo - reach  # rows rh
-            if want_gint:
-                # left Riemann sums of the gain, in steps, at each step's start
-                cg = gain_fn(P)
-                np.cumsum(cg, axis=1, out=cg)
-            # pieces (row, start, end, P, X): near a pending level in (row,
-            # time) order, and near 0 or the lowest point
-            low_parts = []
-            if with_levels:
-                hq, hk = np.nonzero(near_hi)
-                hr = np.arange(R)[rh][hq]
-                hs, he, hP, hX, hplo = tgrid[hk], tgrid[hk + 1], P[hr, hk], X[hr, hk], plo[hq, hk]
-                # a step that may hold both the last zero and a passage is
-                # split until no piece does
-                shared = np.flatnonzero(near_lo[hr, hk] & (hP * hX < r2h) & (he > tneg[hr]))
-                if shared.size:
-                    near_lo[hr[shared], hk[shared]] = False
-                    par, ps_, pe_, pP_, pX_, plow_, phigh_ = _split(
-                        unif, idx[hr[shared]], hr[shared], tneg, hs[shared], he[shared],
-                        hP[shared], hX[shared], ref[hr[shared]], hplo[shared], pending, sig2)
-                    par = shared[par]
-                    low_parts.append([a[plow_] for a in (hr[par], ps_, pe_, pP_, pX_)])
-                    # each shared step gives way to its parts near a level, in place
-                    par, ps_, pe_, pP_, pX_ = (a[phigh_] for a in (par, ps_, pe_, pP_, pX_))
-                    count = np.ones(hr.size, np.intp)
-                    count[shared] = 0
-                    np.add.at(count, par, 1)
-                    part = np.zeros(hr.size, bool)
-                    part[shared] = True
-                    part = np.repeat(part, count)
-                    hr, hk, hplo = (np.repeat(a, count) for a in (hr, hk, hplo))
-                    cols = []
-                    for col, new in zip((hs, he, hP, hX), (ps_, pe_, pP_, pX_)):
-                        col = np.repeat(col, count)
-                        col[part] = new
-                        cols.append(col)
-                    hs, he, hP, hX = cols
-                hlen = he - hs
-                # each piece's maximum screens the lowest level pending at it;
-                # a piece whose maximum stays below that level passes none
-                hM = 0.5 * (hP + hX + np.sqrt((hX - hP) ** 2 - 2.0 * sig2 * hlen * np.log1p(
-                    -unif.take(idx[hr]))))
-                keep = np.flatnonzero(hM > hplo)
-                hr, hk, hs, hlen, hP, hX, hM = (a[keep] for a in (hr, hk, hs, hlen, hP, hX, hM))
-                urows, _, ucnt = _group_runs(hr)
-                slot = np.repeat(np.arange(urows.size), ucnt)
-                cur = np.full(urows.size, -1)
-                curT = np.zeros(urows.size)
-                # round i takes each row's i-th level pending at the block start
-                j = done0[urows]
-                active = j < nl
-                H = np.arange(hr.size)
-                while active.any():
-                    lj = pending[j]
-                    passed = np.zeros(urows.size, bool)
-                    # hit times: from distance p to end distance |x| over rem
-                    p, x, rem = np.zeros((3, urows.size))
-                    # the previous level was passed here: the rest of its
-                    # piece is a bridge from that level to the piece's end
-                    sq = np.flatnonzero(active & (cur >= 0))
-                    if sq.size:
-                        c = cur[sq]
-                        rem[sq] = hlen[c] - curT[sq]
-                        p[sq] = lj[sq] - levels[j[sq] - 1]
-                        x[sq] = hX[c] - lj[sq]
-                        hit = x[sq] > 0.0
-                        un = sq[~hit]
-                        hit[~hit] = unif.take(idx[urows[un]]) <= np.exp(
-                            2.0 * p[un] * x[un] / (sig2 * rem[un]))
-                        passed[sq[hit]] = True
-                    # otherwise the first later piece whose maximum passes it
-                    cand = np.flatnonzero(
-                        (hM > lj[slot]) & (active & ~passed)[slot] & (H > cur[slot]))
-                    if cand.size:
-                        cs = slot[cand]
-                        firsts = np.ones(cand.size, bool)
-                        np.not_equal(cs[1:], cs[:-1], out=firsts[1:])
-                        cand, cs = cand[firsts], cs[firsts]
-                        cur[cs] = cand
-                        curT[cs] = 0.0
-                        rem[cs], p[cs], x[cs] = hlen[cand], lj[cs] - hP[cand], hX[cand] - lj[cs]
-                        passed[cs] = True
-                    ps = np.flatnonzero(passed)
-                    rws = idx[urows[ps]]
-                    u = unif.take(rws, 2)
-                    a, _ = _wald_split(p[ps], np.abs(x[ps]), sig2 * rem[ps], _normal(u[0]), u[1])
-                    curT[ps] += rem[ps] * a
-                    gi, jp = cur[ps], j[ps]
-                    s.tau[rws, jp] = t0[urows[ps]] + hs[gi] + curT[ps]
-                    s.done[rws, jp] = True
-                    if want_gint:
-                        # the sum up to the passage step, closed at the passage
-                        r, k = urows[ps], hk[gi]
-                        before = np.where(k > 0, cg[r, np.maximum(k - 1, 0)], 0.0)
-                        s.gint[rws, jp] = s.gint_cum[rws] + h * before + (
-                            cg[r, k] - before) * (hs[gi] - tgrid[k] + curT[ps])
-                    j[ps] += 1
-                    active &= passed & (j < nl)
-            # zeros and the infimum; each list of low pieces is in (row, time)
-            # order, so its last touch per row is a row's last entry
-            f = np.flatnonzero(near_lo)
-            lr, lk = np.divmod(f, block)
-            low_parts.insert(0, [lr, tgrid[lk], tgrid[lk + 1], P.ravel()[f], X.ravel()[f]])
-            cand = []  # per list: (list, index, row, end) of each row's last touch
-            for i, part in enumerate(low_parts):
-                lr, ls_, le, lP, lX = part
-                lm = 0.5 * (lP + lX - np.sqrt((lX - lP) ** 2 - 2.0 * sig2 * (le - ls_) * np.log1p(
-                    -unif.take(idx[lr]))))
-                part.append(lm)
-                t = np.flatnonzero((lm <= 0.0) & (le > tneg[lr]))
-                _, f, c = _group_runs(lr[t])
-                t = t[f + c - 1]
-                cand.append((np.full(t.size, i), t, lr[t], le[t]))
-            part_of, at, lr, le = (np.concatenate(c) for c in zip(*cand))
-            if len(cand) > 1:
-                order = np.lexsort((le, lr))
-                _, f, c = _group_runs(lr[order])
-                part_of, at, lr, le = (a[order[f + c - 1]] for a in (part_of, at, lr, le))
-            # a grid point at or below 0, or a later touch, ends the wait of
-            # a row's pending last zero: its step minimum counts as drawn
-            ends = np.zeros(R, bool)
-            ends[rz] = ends[lr] = True
-            over = idx[ends]
-            s.inf[over] = np.minimum(s.inf[over], zm[over])
-            zm[over] = np.inf
-            s.g[idx[lr]] = t0[lr] + le
-            for i, part in enumerate(low_parts):
-                k = at[part_of == i]
-                # the last touch of a block that ends above 0: its last zero
-                # is drawn once no later touch can replace it
-                pr_, ps_, pe_, pP_, pX_, pm_ = (a[k] for a in part)
-                e = np.flatnonzero(pX_ > 0.0)
-                rr = idx[pr_[e]]
-                zt[rr], zP[rr], zX[rr] = t0[pr_[e]] + ps_[e], pP_[e], pX_[e]
-                zlen[rr] = pe_[e] - ps_[e]
-                zm[rr] = pm_[e]
-                part[5][k[e]] = np.inf
-                rows_, first_, _ = _group_runs(part[0])
-                if rows_.size:
-                    rows_ = idx[rows_]
-                    s.inf[rows_] = np.minimum(s.inf[rows_], np.minimum.reduceat(part[5], first_))
-            if want_gint:
-                s.gint_cum[idx] += h * cg[:, -1]
-            s.x[idx] = X[:, -1]
-            s.clock[idx] += block
-            if with_levels:
-                # past the top level the path goes on from the block's end
-                rs = idx[s.done[idx, -1]]
-                t_stop[rs] = s.clock[rs] * h
-            else:
-                stop = np.flatnonzero(kstop < block)
-                rs = idx[stop]
-                s.x[rs] = X[stop, kstop[stop]]
-                t_stop[rs] = t0[stop] + tgrid[kstop[stop] + 1]
-            s.alive[rs] = False
-        # the last zero in that piece, and its minimum from the bridge to it
-        d = np.flatnonzero(zm < np.inf)
-        u = unif.take(d, 3)
-        _, frac = _wald_split(zX[d], np.abs(zP[d]), sig2 * zlen[d], _normal(u[0]), u[1])
-        L = zlen[d] * frac
-        s.g[d] = zt[d] + L
-        s.inf[d] = np.minimum(s.inf[d], 0.5 * (zP[d] - np.sqrt(
-            zP[d] ** 2 - 2.0 * sig2 * L * np.log1p(-u[2]))))
-        # strong Markov property at the stop: from x the future infimum is
-        # x - E with E ~ Exp(2 mu / sigma^2); the path returns to 0 iff
-        # x - E <= 0, after an inverse Gaussian hitting time (mean |x|/mu,
-        # shape x^2/sigma^2), and the last zero of a fresh path from 0 is
-        # Gamma(1/2, 2 sigma^2 / mu^2), that is sigma^2/mu^2 z^2
-        every = np.arange(rows)
-        e = -np.log1p(-unif.take(every)) * (0.5 * sig2 / mu_rate)
-        s.inf = np.minimum(s.inf, s.x - e)
-        ret = np.flatnonzero(e >= s.x)
-        xr = np.abs(s.x[ret])
-        u = unif.take(ret, 3)
-        a, c = _wald_split(xr / sig, mu_rate / sig, 1.0, _normal(u[0]), u[1])
-        s.g[ret] = t_stop[ret] + a / c + sig2 / mu_rate**2 * _normal(u[2]) ** 2
-        s.store(out, lo, m, rank)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -1052,8 +511,8 @@ def simulate_paths(
     todo = _todo(cfg.n_paths, batch_filter, True)
     equiv = model.brownian_equivalent()
     if equiv is not None:
-        return _run_bridge(cfg, start, b, a_arr, equiv.mu, equiv.sigma, ev.gain, want_gint,
-                           run_step(model, cfg, a_arr.size > 0, want_gint), todo)
+        return run_bridge(cfg, start, b, a_arr, equiv.mu, equiv.sigma, ev.gain, want_gint,
+                          run_step(model, cfg, a_arr.size > 0, want_gint), todo)
     if exact_crossings:
         raise ValueError("exact_crossings requires a jump-free diffusion route")
     # BetaFamily(beta < 2)

@@ -175,7 +175,6 @@ def run_bridge(
     a_arr: np.ndarray,
     mu_rate: float,
     sig: float,
-    gain_fn,
     want_gint: bool,
     step: float,
     todo,
@@ -275,8 +274,13 @@ def run_bridge(
                 plo = pending[np.maximum(done0[rh, None], below)]
                 near_hi = np.maximum(P[rh], X[rh]) > plo - reach  # rows rh
             if want_gint:
-                # left Riemann sums of the gain, in steps, at each step's start
-                cg = gain_fn(P)
+                # left Riemann sums, in steps, of the gain 2 F - 1 at each
+                # step's start: F(x) = 1 - exp(-2 mu x / sigma^2) above 0
+                cg = np.maximum(P, 0.0)
+                cg *= -2.0 * mu_rate / sig2
+                np.expm1(cg, out=cg)
+                cg *= -2.0
+                cg -= 1.0
                 np.cumsum(cg, axis=1, out=cg)
             # pieces (row, start, end, P, X): near a pending level in (row,
             # time) order, and near 0 or the lowest point

@@ -511,7 +511,7 @@ def simulate_paths(
     todo = _todo(cfg.n_paths, batch_filter, True)
     equiv = model.brownian_equivalent()
     if equiv is not None:
-        return run_bridge(cfg, start, b, a_arr, equiv.mu, equiv.sigma, ev.gain, want_gint,
+        return run_bridge(cfg, start, b, a_arr, equiv.mu, equiv.sigma, want_gint,
                           run_step(model, cfg, a_arr.size > 0, want_gint), todo)
     if exact_crossings:
         raise ValueError("exact_crossings requires a jump-free diffusion route")

@@ -45,9 +45,10 @@ class _Pool:
     """Uniforms held in reserve per RNG group and handed out in request
     order: a request for batch rows ``rows`` (ascending) gives each group's
     rows the next values of that group's reserve.  The first reserve is
-    row g of ``first``; later ones come from the group's own stream.  So
-    what a path receives depends only on its group's requests, and a group
-    draws a few times per batch instead of once per request."""
+    row g of ``first``; later ones come from the group's own stream, by
+    the group's own needs.  So what a path receives depends only on its
+    group's requests, and a group draws a few times per batch instead of
+    once per request."""
 
     def __init__(self, gens, first: np.ndarray):
         self.gens = gens
@@ -75,21 +76,7 @@ class _Pool:
         bounds = np.searchsorted(rows, GROUP * np.arange(self.buf.shape[0] + 1))
         ug = np.flatnonzero(bounds[1:] > bounds[:-1])
         first, cnt = bounds[ug], bounds[ug + 1] - bounds[ug]
-        cur = self.cur[ug]
-        left = self.fill[ug] - cur
-        if rows.size > 64 * ug.size:
-            # many values per group: copy slices, and draw what a reserve
-            # lacks straight into place
-            out = np.empty(rows.size)
-            for g, a, n, c, have in zip(*(v.tolist() for v in (ug, first, cnt, cur, left))):
-                if have >= n:
-                    out[a : a + n] = self.buf[g, c : c + n]
-                else:
-                    out[a : a + have] = self.buf[g, c : c + have]
-                    self.gens[g].random(out=out[a + have : a + n])
-            self.cur[ug] = np.minimum(cur + cnt, self.fill[ug])
-            return out
-        for i in np.flatnonzero(left < cnt):
+        for i in np.flatnonzero(self.fill[ug] - self.cur[ug] < cnt):
             self.reserve(ug[i], cnt[i])
         grp = np.repeat(ug, cnt)
         out = self.buf[grp, self.cur[grp] + np.arange(rows.size) - np.repeat(first, cnt)]
@@ -205,7 +192,8 @@ def run_bridge(
             fresh["state"]["counter"] = np.array([0, 0, lo // GROUP + j, 0], np.uint64)
             gens[j].bit_generator.state = fresh
         # the groups' first reserves: rows of one draw from the batch's own
-        # stream, far from every group stream
+        # stream, far from every group stream (one draw, where one per group
+        # costs a third of a pair median's time)
         g0 = lo % BATCH // GROUP
         first = np.random.Generator(np.random.Philox(
             key=cfg.base_seed, counter=[0, 0, lo // BATCH, 1])).random((BATCH // GROUP, RESERVE))
@@ -237,9 +225,12 @@ def run_bridge(
             P[:, 0] = s.x[idx]
             P[:, 1:] = X[:, :-1]
             if not with_levels:
-                kstop = (np.maximum.accumulate(X, axis=1) <= b).sum(axis=1)
+                # rows stop at their first grid point above b, step kstop
+                stop = np.flatnonzero(X.max(axis=1) > b)
+                kstop = np.argmax(X[stop] > b, axis=1)
                 cut = jgrid > kstop[:, None]  # the steps after the stop
-                P[cut] = X[cut] = np.inf
+                P[stop] = np.where(cut, np.inf, P[stop])
+                X[stop] = np.where(cut, np.inf, X[stop])
             t0 = s.clock[idx] * h
             # the last grid point at or below 0, kz of rows rz, at time tneg
             # (-1 if none): no step before it holds the last zero
@@ -423,14 +414,14 @@ def run_bridge(
             s.x[idx] = X[:, -1]
             s.clock[idx] += block
             if with_levels:
-                # past the top level the path goes on from the block's end
+                # past the top level the path goes on from the block's end:
+                # the decisions above read the block's later grid points
                 rs = idx[s.done[idx, -1]]
                 t_stop[rs] = s.clock[rs] * h
             else:
-                stop = np.flatnonzero(kstop < block)
                 rs = idx[stop]
-                s.x[rs] = X[stop, kstop[stop]]
-                t_stop[rs] = t0[stop] + tgrid[kstop[stop] + 1]
+                s.x[rs] = X[stop, kstop]
+                t_stop[rs] = t0[stop] + tgrid[kstop + 1]
             s.alive[rs] = False
         # the last zero in that piece, and its minimum from the bridge to it
         d = np.flatnonzero(zm < np.inf)

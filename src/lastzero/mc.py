@@ -33,21 +33,25 @@ Scheme by family:
   exact (``bridge`` holds the route and its constants).  A step whose end
   points lie further than sqrt(19 sigma^2 h) from a level (p x > 19
   sigma^2 h) reaches it with probability below 2^-53: only steps within
-  reach of 0, of the lowest grid point, or of a pending level draw.  A step within reach of both 0 and a pending level, ending
-  after the last grid point at or below 0, could hold both the last zero
-  and a passage; it is split at Gaussian bridge midpoints (the Levy
+  reach of 0, of the lowest grid point, or of a pending level draw.  A
+  step within reach of both 0 and a pending level, ending after the last
+  grid point at or below 0, could hold both the last zero and a
+  passage; it is split at Gaussian bridge midpoints (the Levy
   construction) until no piece is, deciding from the points drawn so far
   only, for at most SPLIT_DEPTH halvings (a piece of h / 2^30 may keep
   both).  The step is a fixed share of the time scale sigma^2/mu^2
   (``run_step``: INFIMUM_STEP without thresholds, THRESHOLD_STEP with,
   GAIN_STEP for gain integrals, which stay a left Riemann sum closed at
-  the passage), so every Brownian model takes as many steps.  A block
-  spans BLOCK_SPAN mean path lengths, in [BLOCK_MIN, BLOCK] steps, and
+  the passage), so every Brownian model takes as many steps; an explicit
+  ``step`` of ``simulate_paths`` or ``sample_infimum`` replaces it.  A
+  block spans BLOCK_SPAN mean path lengths, in [BLOCK_MIN, BLOCK] steps, and
   doubles every BLOCK_GROW blocks, up to eight times, so that the few slow
   paths take few blocks (its length depends on its index only).  A path
   stops at its first grid point above b when there are no thresholds, else
-  at the end of the block in which it passes the top threshold, and its
-  future is drawn exactly (strong Markov property at the fixed time t, at
+  at the end of the block in which it passes the top threshold (a block
+  spans several mean path lengths, so a threshold path simulates about
+  five times the steps it needs, which costs less than more blocks), and
+  its future is drawn exactly (strong Markov property at the fixed time t, at
   x): with E ~ Exp(2 mu / sigma^2) the future infimum is x - E, the path
   returns to 0 iff E >= x, the return takes an inverse Gaussian time with
   mean |x|/mu and shape x^2/sigma^2, and the last zero after it adds
@@ -80,10 +84,11 @@ padding rows beyond n_paths are simulated as ordinary paths.  The bridge
 route's event draws come from a reserve of uniforms per group: its first
 RESERVE values are row g of one draw from the batch's own stream
 jumped(j + 2^64), the rest from the group's stream, handed out in the
-order of the group's requests.  In every engine the draws feeding path k
-are a function of (base_seed, k) alone: independent of n_paths and of how
-results are later aggregated, so one path can be simulated alone with
-its group (its batch on the event engine).
+order of the group's requests and refilled by the group's own needs.
+In every engine the draws feeding path k are a function of (base_seed,
+k) alone: independent of n_paths and of how results are later
+aggregated, so one path can be simulated alone with its group (its
+batch on the event engine).
 """
 
 from __future__ import annotations
@@ -484,12 +489,13 @@ def simulate_paths(
     infimum_mode: bool = False,
     exact_crossings: bool = False,
     batch_filter=None,
+    step: float | None = None,
 ) -> dict:
     """Run all paths; returns arrays g, tau, inf_depth, gint (see engines).
 
-    The Brownian route draws every event from the bridge laws at a step
-    set by ``run_step``, so ``cfg.dt``, ``infimum_mode`` and
-    ``exact_crossings`` change nothing there; the jump route steps in
+    The Brownian route draws every event from the bridge laws at the step
+    ``step``, by default ``run_step``'s, so ``cfg.dt``, ``infimum_mode``
+    and ``exact_crossings`` change nothing there; the jump route steps in
     ``cfg.dt``, has no bridge law and refuses ``exact_crossings``.
     ``start`` and the levels must be finite.
     """
@@ -498,6 +504,8 @@ def simulate_paths(
     a_arr = np.asarray(tuple(a_levels), float)
     if not (math.isfinite(start) and np.isfinite(a_arr).all()):
         raise ValueError("start and thresholds must be finite")
+    if step is not None and not (math.isfinite(step) and step > 0):
+        raise ValueError(f"step must be positive, got {step!r}")
     if start >= b:
         raise ValueError(f"start {start:g} must lie below the barrier {b:g}")
     if a_arr.size and np.max(a_arr) >= b:
@@ -511,8 +519,9 @@ def simulate_paths(
     todo = _todo(cfg.n_paths, batch_filter, True)
     equiv = model.brownian_equivalent()
     if equiv is not None:
-        return run_bridge(cfg, start, b, a_arr, equiv.mu, equiv.sigma, want_gint,
-                          run_step(model, cfg, a_arr.size > 0, want_gint), todo)
+        if step is None:
+            step = run_step(model, cfg, a_arr.size > 0, want_gint)
+        return run_bridge(cfg, start, b, a_arr, equiv.mu, equiv.sigma, want_gint, step, todo)
     if exact_crossings:
         raise ValueError("exact_crossings requires a jump-free diffusion route")
     # BetaFamily(beta < 2)
@@ -648,25 +657,25 @@ def estimate_laplace_g(
 
 
 def infimum_config(model: LevyModel, cfg: McConfig, step: float | None = None) -> McConfig:
-    """``cfg`` with the step ``sample_infimum`` runs at as its ``dt``: on the
-    Brownian route ``run_step``'s for a run without thresholds, elsewhere
-    ``step`` when given, else ``cfg.dt``."""
-    if step is None or model.brownian_equivalent() is not None:
-        step = run_step(model, cfg)
-    return dataclasses.replace(cfg, dt=step)
+    """``cfg`` with the step ``sample_infimum`` runs at as its ``dt``:
+    ``step`` when given, else ``run_step``'s for a run without thresholds
+    (``cfg.dt`` off the Brownian route; the CramerLundberg engine has no
+    step)."""
+    return dataclasses.replace(cfg, dt=run_step(model, cfg) if step is None else step)
 
 
 def sample_infimum(model: LevyModel, cfg: McConfig, step: float | None = None) -> np.ndarray:
     """Sampled depths of the all-time infimum, one per path.
 
-    On the Brownian route the step minima come from the exact bridge law,
-    a path stops at its first grid point above b, and the infimum after it
-    is drawn exactly, so the run takes the coarse step of ``run_step``
-    whatever ``step`` says.  On the jump route an explicit ``step`` replaces
-    ``cfg.dt``.  CramerLundberg infima are exact up to the barrier passage,
-    which bounds their cutoff bias by tail_eps.
+    An explicit ``step`` replaces the grid step of either route.  On the
+    Brownian route the step minima come from the exact bridge law, a path
+    stops at its first grid point above b, and the infimum after it is
+    drawn exactly, so the coarse default step of ``run_step`` is exact too.
+    CramerLundberg infima are exact up to the barrier passage, which bounds
+    their cutoff bias by tail_eps.
     """
-    res = simulate_paths(model, infimum_config(model, cfg, step), infimum_mode=True)
+    cfg = infimum_config(model, cfg, step)
+    res = simulate_paths(model, cfg, infimum_mode=True, step=cfg.dt)
     return res["inf_depth"]
 
 

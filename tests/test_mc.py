@@ -72,6 +72,56 @@ def test_group_streams_independent_of_budget():
         assert one.inf_depth == large["inf_depth"][i]
 
 
+def test_pool_draws_independent_of_other_groups():
+    # a group's uniforms, and where its stream stands after them, depend on
+    # its own requests alone, however many values the other groups of the
+    # batch ask for in the same requests
+    from lastzero.bridge import RESERVE, _Pool
+
+    def run(others):
+        gens = [mc._batch_gen(3, g) for g in range(5)]
+        first = np.random.default_rng(3).random((5, RESERVE))
+        pool = _Pool(gens, first)
+        got = []
+        for n in (200, 200, 300, 5, 40):
+            rows = np.concatenate([np.zeros(n, np.intp)]
+                                  + [np.full(others, GROUP * g) for g in range(1, 5)])
+            got.append(pool.take(rows)[:n])
+        return np.concatenate(got + [gens[0].random(3)])
+
+    ref = run(0)
+    for others in (1, 30, 100, 400):
+        assert np.array_equal(run(others), ref)
+
+
+def test_multi_block_groups_match_single_paths(monkeypatch):
+    # a many-threshold run whose slowest paths take several blocks: every
+    # path of the groups at the batch's ends and of the slowest path's
+    # group is reproduced when simulated alone
+    running = mc._Batch.running
+    blocks = [0]
+
+    def counted(self):
+        idx = running(self)
+        blocks[0] += bool(idx.size)
+        return idx
+
+    a = solve(BM)[1].a_star
+    levels = tuple(a * np.linspace(0.0, 2.0, 21))
+    cfg = McConfig(n_paths=BATCH, base_seed=19)
+    monkeypatch.setattr(mc._Batch, "running", counted)
+    full = simulate_paths(BM, cfg, a_levels=levels)
+    monkeypatch.setattr(mc._Batch, "running", running)
+    assert blocks[0] > 1
+    slow = int(np.argmax(full["tau"][:, -1])) // GROUP
+    for grp in sorted({0, slow, BATCH // GROUP - 1}):
+        for i in range(grp * GROUP, grp * GROUP + GROUP):
+            one = sample_path_events(BM, cfg, i, a_list=levels)
+            assert one.g == full["g"][i]
+            assert one.tau == tuple(full["tau"][i])
+            assert one.inf_depth == full["inf_depth"][i]
+
+
 def test_coarse_step_brownian_is_unbiased():
     # the bridge law for zero dips and passages plus the exact continuation
     # after tau_a leave only the O(dt) time stamping: at dt = 0.02 the plain
@@ -230,6 +280,20 @@ def test_infimum_scale_covariance():
         np.testing.assert_allclose(res["g"] / time, ref_a["g"], rtol=1e-11)
         np.testing.assert_allclose(res["tau"] / time, ref_a["tau"], rtol=1e-11)
         np.testing.assert_allclose(simulate_paths(model, cfg)["g"] / time, ref_g, rtol=1e-11)
+
+
+def test_explicit_infimum_step_is_honoured():
+    # an explicit step replaces the Brownian route's default one, and the
+    # bridge laws keep the infimum exact at it
+    cfg = McConfig(n_paths=4096, base_seed=23)
+    assert mc.infimum_config(BM, cfg, step=0.04).dt == 0.04
+    fine = sample_infimum(BM, cfg, step=0.04)
+    assert np.array_equal(fine, simulate_paths(BM, cfg, step=0.04)["inf_depth"])
+    assert not np.array_equal(fine, sample_infimum(BM, cfg))
+    d = ks_statistic(fine, lambda x: -np.expm1(-2.0 * x))  # Exp(2 mu / sigma^2)
+    assert d < ks_critical(fine.size)
+    with pytest.raises(ValueError):
+        simulate_paths(BM, cfg, step=0.0)
 
 
 def test_infimum_cost_independent_of_scale(monkeypatch):

@@ -45,43 +45,33 @@ class _Pool:
     """Uniforms held in reserve per RNG group and handed out in request
     order: a request for batch rows ``rows`` (ascending) gives each group's
     rows the next values of that group's reserve.  The first reserve is
-    row g of ``first``; later ones come from the group's own stream, by
-    the group's own needs.  So what a path receives depends only on its
-    group's requests, and a group draws a few times per batch instead of
-    once per request."""
+    row g of ``first``; when a request needs more, the group keeps what is
+    left and draws twice the request from its own stream.  So what a path
+    receives depends only on its group's requests, and a group draws a few
+    times per batch instead of once per request."""
 
     def __init__(self, gens, first: np.ndarray):
         self.gens = gens
-        self.buf = first
-        self.cur = np.zeros(first.shape[0], np.intp)
-        self.fill = np.full(first.shape[0], first.shape[1])
-
-    def reserve(self, g: int, n: int):
-        """Make at least n values ready for group g."""
-        left = self.fill[g] - self.cur[g]
-        if left < n:
-            size = max(2 * n, RESERVE)  # twice the need: fewer draws, little waste
-            width = self.buf.shape[1]
-            if size > width:
-                self.buf = np.pad(self.buf, ((0, 0), (0, max(size, 2 * width) - width)))
-            self.buf[g, :left] = self.buf[g, self.cur[g] : self.fill[g]].copy()
-            self.gens[g].random(out=self.buf[g, left:size])
-            self.cur[g], self.fill[g] = 0, size
+        self.buf = list(first)
+        self.cur = [0] * len(self.buf)
 
     def take(self, rows: np.ndarray, k: int = 0):
         """One uniform per row, or with k > 0 an array of k per row (k by
         len(rows))."""
         if k:
             return self.take(np.repeat(rows, k)).reshape(-1, k).T
-        bounds = np.searchsorted(rows, GROUP * np.arange(self.buf.shape[0] + 1))
-        ug = np.flatnonzero(bounds[1:] > bounds[:-1])
-        first, cnt = bounds[ug], bounds[ug + 1] - bounds[ug]
-        for i in np.flatnonzero(self.fill[ug] - self.cur[ug] < cnt):
-            self.reserve(ug[i], cnt[i])
-        grp = np.repeat(ug, cnt)
-        out = self.buf[grp, self.cur[grp] + np.arange(rows.size) - np.repeat(first, cnt)]
-        self.cur[ug] += cnt
-        return out
+        bounds = np.searchsorted(rows, GROUP * np.arange(len(self.buf) + 1)).tolist()
+        parts = [np.empty(0)]
+        for g, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+            if b > a:
+                buf, c = self.buf[g], self.cur[g]
+                if buf.size - c < b - a:
+                    buf = self.buf[g] = np.concatenate(
+                        (buf[c:], self.gens[g].random(max(2 * (b - a), RESERVE) - buf.size + c)))
+                    c = 0
+                self.cur[g] = c + b - a
+                parts.append(buf[c : self.cur[g]])
+        return np.concatenate(parts)
 
 
 def _normal(u):

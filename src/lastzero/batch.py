@@ -16,6 +16,10 @@ BLOCK = 256  # steps drawn per block: the jump route's, and the bridge route's m
 # on average (BM(1,1) to a* at THRESHOLD_STEP: about 7 steps; CL(1.3,1,1) to b:
 # about 100 claims)
 MAX_STEPS_PER_PATH = 1e7
+# a run is refused when its result arrays (g, inf_depth, and tau and gint per
+# threshold) would take more bytes than this: 2^30 holds 2^26 paths without
+# thresholds, or about 2.4e6 with 21
+MAX_RESULT_BYTES = 2**30
 
 
 def _batch_gen(base_seed: int, index: int) -> np.random.Generator:
@@ -40,6 +44,34 @@ def _outputs(cfg, start: float, na: int) -> dict:
     n = cfg.n_paths
     return {"g": np.zeros(n), "tau": np.zeros((n, na)),
             "inf_depth": np.full(n, -float(start)), "gint": np.zeros((n, na))}
+
+
+class _Streams:
+    """The group streams of the grid engines: after ``seat(lo, ng)``,
+    generator j of ``gens`` draws the stream of group lo // GROUP + j."""
+
+    def __init__(self, cfg):
+        # one generator per group slot of a batch, moved to each batch's group
+        # streams by setting its state, which is five times cheaper than a new one
+        self.gens = [_batch_gen(cfg.base_seed, 0) for _ in range(-(-min(cfg.n_paths, BATCH) // GROUP))]
+        self._fresh = self.gens[0].bit_generator.state
+
+    def seat(self, lo: int, ng: int) -> None:
+        for j in range(ng):
+            self._fresh["state"]["counter"] = np.array([0, 0, lo // GROUP + j, 0], np.uint64)
+            self.gens[j].bit_generator.state = self._fresh
+
+    def normals(self, idx: np.ndarray, block: int):
+        """Standard normals, a row of ``block`` per row of the ascending
+        batch rows idx, each group's rows (contiguous in idx) from its own
+        stream; and the (generator, slice of idx) of each group drawn."""
+        live, start = np.unique(idx // GROUP, return_index=True)
+        bound = np.append(start, idx.size).tolist()
+        groups = [(self.gens[g], slice(a, b)) for g, a, b in zip(live, bound[:-1], bound[1:])]
+        inc = np.empty((idx.size, block))
+        for gen, rows in groups:
+            gen.standard_normal(out=inc[rows])
+        return inc, groups
 
 
 def _block_cap(per_path: float, unit: str, width: int) -> int:

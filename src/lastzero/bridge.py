@@ -1,6 +1,6 @@
-"""The Brownian route of the Monte Carlo engine: a skeleton of Gaussian
-steps whose passages, last zero and infimum are drawn at their exact times
-from the Brownian-bridge laws (the scheme is set out in ``mc``).
+"""The Brownian route of the Monte Carlo engine: a skeleton of Gaussian steps
+whose passages, last zero and infimum are drawn at their exact times from
+the Brownian-bridge laws of ``pieces`` (the scheme is set out in ``mc``).
 """
 
 from __future__ import annotations
@@ -8,18 +8,14 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special
 
-from .batch import (BATCH, BLOCK, GROUP, _Batch, _batch_gen, _block_cap, _last_true, _levels,
-                    _outputs)
+from . import pieces
+from .batch import (BATCH, BLOCK, GROUP, _Batch, _block_cap, _last_true, _levels, _outputs,
+                    _Streams)
 
 BLOCK_MIN = 4  # the bridge route's fewest steps per block
 BLOCK_SPAN = 4.0  # mean path lengths a bridge-route block spans
 BLOCK_GROW = 8  # bridge-route blocks per doubling of the block length (up to 8 times)
-# a bridge piece of length t whose end points lie at distances p, x on one
-# side of a level with p x > BRIDGE_REACH sigma^2 t reaches it with
-# probability exp(-2 p x / (sigma^2 t)) < exp(-2 BRIDGE_REACH) < 2^-53
-BRIDGE_REACH = 19.0
 SPLIT_DEPTH = 30  # most halvings of a bridge step (a piece of h / 2^30 may hold both)
 RESERVE = 256  # uniforms each RNG group of the bridge route holds ready at a batch start
 
@@ -74,35 +70,13 @@ class _Pool:
         return np.concatenate(parts)
 
 
-def _normal(u):
-    """Standard normals from uniforms on [0, 1), by inversion."""
-    return special.ndtri(np.maximum(u, 1e-300))
-
-
-def _wald_split(p, x, var, z, u):
-    """(s / (1 + s), 1 / (1 + s)) for s ~ Wald(p / x, p^2 / var), from one
-    normal z and one uniform u (Michael, Schucany & Haas), in a form that
-    stays finite as x -> 0, where s tends to the Levy law (p^2 / var) / z^2.
-
-    A Brownian bridge with variance var over its length, started at
-    distance p from a level and ending at distance x from it, first hits
-    the level, given that it does, at the first of these fractions of its
-    length; read backwards in time, its last visit to the level is at the
-    second with p and x swapped (Borodin & Salminen)."""
-    y = 4.0 * (p * p / var) / (np.abs(z) + np.sqrt(z * z + 4.0 * p * x / var)) ** 2
-    acc = u * y * x <= p * (1.0 - u)
-    d = p * p + x * x * y
-    d = np.where(d > 0.0, d, 1.0)  # p = 0: the level at the start, s = 0
-    return np.where(acc, y / (1.0 + y), p * p / d), np.where(acc, 1.0 / (1.0 + y), x * x * y / d)
-
-
 def _split(unif, grow, lrow, tneg, tstart, tend, P, X, ref, plo, pending, sig2):
     """Levy construction: split each piece, from P at time tstart to X at
     tend, at its bridge midpoint, N((P + X)/2, sig2 (tend - tstart)/4), and
     the halves again, while a piece may hold both the last zero and a
     passage: while 0 and the lowest pending level (``plo``; ``pending``
-    holds the levels, ascending, and inf) are both within reach of it (see
-    ``run_bridge``) and it ends after the latest known point at or below 0
+    holds the levels, ascending, and inf) are both within reach of it
+    (``pieces.within_reach``) and it ends after the latest known point at or below 0
     of its row (``tneg``, by local row ``lrow``; midpoints update it), for
     at most SPLIT_DEPTH halvings.  The decisions read only points already
     drawn, so each midpoint keeps its bridge law.
@@ -110,16 +84,16 @@ def _split(unif, grow, lrow, tneg, tstart, tend, P, X, ref, plo, pending, sig2):
     Returns (parent, start, end, P, X, near low, near high) of the final
     pieces near a level, in (parent, time) order; a piece left at the
     depth cap is near both."""
-    r2 = BRIDGE_REACH * sig2
     F = np.stack([tstart, tend, P, X, ref, plo])
     I = np.stack([np.arange(P.size), grow, lrow])
     outs = []
     for depth in range(SPLIT_DEPTH + 1):
         tstart, tend, P, X, ref, plo = F
-        r2l = r2 * (tend - tstart)
-        near_lo = (P * X < r2l) | ((P - ref) * (X - ref) < r2l)
-        near_hi = (np.maximum(P, X) > plo) | ((plo - P) * (plo - X) < r2l)
-        both = (P * X < r2l) & near_hi
+        t = tend - tstart
+        near0 = pieces.within_reach(P, X, 0.0, sig2, t)
+        near_lo = near0 | pieces.within_reach(P, X, ref, sig2, t)
+        near_hi = (np.maximum(P, X) > plo) | pieces.within_reach(P, X, plo, sig2, t)
+        both = near0 & near_hi
         both &= tend > tneg[I[2]]
         if depth == SPLIT_DEPTH:
             both[:] = False
@@ -129,8 +103,7 @@ def _split(unif, grow, lrow, tneg, tstart, tend, P, X, ref, plo, pending, sig2):
             break
         F, I = F[:, both], I[:, both]
         tmid = 0.5 * (F[0] + F[1])
-        mid = 0.5 * (F[2] + F[3]) + np.sqrt(0.25 * sig2 * (F[1] - F[0])) * _normal(
-            unif.take(I[1]))
+        mid = pieces.midpoint(F[2], F[3], sig2, F[1] - F[0], unif.take(I[1]))
         neg = mid <= 0.0
         np.maximum.at(tneg, I[2, neg], tmid[neg])
         F, I = np.repeat(F, 2, axis=1), np.repeat(I, 2, axis=1)
@@ -161,9 +134,7 @@ def run_bridge(
     of its pieces (see the module docstring)."""
     h = step
     sig2 = sig * sig
-    r2 = BRIDGE_REACH * sig2
-    r2h = r2 * h
-    reach = math.sqrt(r2h)
+    reach = pieces.reach(sig2, h)
     with_levels = a_arr.size > 0
     # without thresholds paths stop at their first grid point above b
     levels, rank = _levels(a_arr, b, not with_levels)
@@ -173,21 +144,18 @@ def run_bridge(
     base = _block_steps(steps)
     cap = _block_cap(steps, "steps", base)
     out = _outputs(cfg, start, a_arr.size)
-    gens = [_batch_gen(cfg.base_seed, 0) for _ in range(-(-min(cfg.n_paths, BATCH) // GROUP))]
-    fresh = gens[0].bit_generator.state
+    streams = _Streams(cfg)
     for lo, m in todo:
         ng = -(-m // GROUP)
         rows = ng * GROUP  # the last group's padding rows run too
-        for j in range(ng):
-            fresh["state"]["counter"] = np.array([0, 0, lo // GROUP + j, 0], np.uint64)
-            gens[j].bit_generator.state = fresh
+        streams.seat(lo, ng)
         # the groups' first reserves: rows of one draw from the batch's own
         # stream, far from every group stream (one draw, where one per group
         # costs a third of a pair median's time)
         g0 = lo % BATCH // GROUP
         first = np.random.Generator(np.random.Philox(
             key=cfg.base_seed, counter=[0, 0, lo // BATCH, 1])).random((BATCH // GROUP, RESERVE))
-        unif = _Pool(gens, first[g0 : g0 + ng])
+        unif = _Pool(streams.gens, first[g0 : g0 + ng])
         s = _Batch(rows, rows, start, levels, cap, np.int64, closed=True)
         t_stop = np.zeros(rows)
         # per row, the piece of its latest touch of 0 that ends above 0: its
@@ -200,13 +168,8 @@ def run_bridge(
             # the few paths still running after BLOCK_GROW blocks take ever
             # longer blocks: the length depends on the block's index only
             block = base << min((s.blocks - 1) // BLOCK_GROW, 3)
-            jgrid = np.arange(block)
             tgrid = np.arange(block + 1) * h  # grid point times within the block
-            live, gstart = np.unique(idx // GROUP, return_index=True)
-            gbound = np.append(gstart, R)
-            inc = np.empty((R, block))
-            for j, gi in enumerate(live):
-                gens[gi].standard_normal(out=inc[gbound[j] : gbound[j + 1]])
+            inc, _ = streams.normals(idx, block)
             inc *= sig * math.sqrt(h)
             inc += mu_rate * h
             X = np.cumsum(inc, axis=1, out=inc)
@@ -218,7 +181,7 @@ def run_bridge(
                 # rows stop at their first grid point above b, step kstop
                 stop = np.flatnonzero(X.max(axis=1) > b)
                 kstop = np.argmax(X[stop] > b, axis=1)
-                cut = jgrid > kstop[:, None]  # the steps after the stop
+                cut = np.arange(block) > kstop[:, None]  # the steps after the stop
                 P[stop] = np.where(cut, np.inf, P[stop])
                 X[stop] = np.where(cut, np.inf, X[stop])
             t0 = s.clock[idx] * h
@@ -272,7 +235,8 @@ def run_bridge(
                 hs, he, hP, hX, hplo = tgrid[hk], tgrid[hk + 1], P[hr, hk], X[hr, hk], plo[hq, hk]
                 # a step that may hold both the last zero and a passage is
                 # split until no piece does
-                shared = np.flatnonzero(near_lo[hr, hk] & (hP * hX < r2h) & (he > tneg[hr]))
+                shared = np.flatnonzero(near_lo[hr, hk] & pieces.within_reach(hP, hX, 0.0, sig2, h)
+                                        & (he > tneg[hr]))
                 if shared.size:
                     near_lo[hr[shared], hk[shared]] = False
                     par, ps_, pe_, pP_, pX_, plow_, phigh_ = _split(
@@ -282,24 +246,18 @@ def run_bridge(
                     low_parts.append([a[plow_] for a in (hr[par], ps_, pe_, pP_, pX_)])
                     # each shared step gives way to its parts near a level, in place
                     par, ps_, pe_, pP_, pX_ = (a[phigh_] for a in (par, ps_, pe_, pP_, pX_))
-                    count = np.ones(hr.size, np.intp)
-                    count[shared] = 0
-                    np.add.at(count, par, 1)
-                    part = np.zeros(hr.size, bool)
-                    part[shared] = True
-                    part = np.repeat(part, count)
+                    was = np.zeros(hr.size, bool)
+                    was[shared] = True
+                    count = np.bincount(par, minlength=hr.size) + ~was
+                    slots = np.repeat(was, count)
                     hr, hk, hplo = (np.repeat(a, count) for a in (hr, hk, hplo))
-                    cols = []
+                    hs, he, hP, hX = (np.repeat(a, count) for a in (hs, he, hP, hX))
                     for col, new in zip((hs, he, hP, hX), (ps_, pe_, pP_, pX_)):
-                        col = np.repeat(col, count)
-                        col[part] = new
-                        cols.append(col)
-                    hs, he, hP, hX = cols
+                        col[slots] = new
                 hlen = he - hs
                 # each piece's maximum screens the lowest level pending at it;
                 # a piece whose maximum stays below that level passes none
-                hM = 0.5 * (hP + hX + np.sqrt((hX - hP) ** 2 - 2.0 * sig2 * hlen * np.log1p(
-                    -unif.take(idx[hr]))))
+                hM = pieces.piece_max(hP, hX, sig2, hlen, unif.take(idx[hr]))
                 keep = np.flatnonzero(hM > hplo)
                 hr, hk, hs, hlen, hP, hX, hM = (a[keep] for a in (hr, hk, hs, hlen, hP, hX, hM))
                 urows, _, ucnt = _group_runs(hr)
@@ -313,7 +271,7 @@ def run_bridge(
                 while active.any():
                     lj = pending[j]
                     passed = np.zeros(urows.size, bool)
-                    # hit times: from distance p to end distance |x| over rem
+                    # hit times: from distance p to end distance x over rem
                     p, x, rem = np.zeros((3, urows.size))
                     # the previous level was passed here: the rest of its
                     # piece is a bridge from that level to the piece's end
@@ -325,26 +283,23 @@ def run_bridge(
                         x[sq] = hX[c] - lj[sq]
                         hit = x[sq] > 0.0
                         un = sq[~hit]
-                        hit[~hit] = unif.take(idx[urows[un]]) <= np.exp(
-                            2.0 * p[un] * x[un] / (sig2 * rem[un]))
+                        hit[~hit] = pieces.hits(p[un], -x[un], sig2, rem[un],
+                                                unif.take(idx[urows[un]]))
                         passed[sq[hit]] = True
                     # otherwise the first later piece whose maximum passes it
                     cand = np.flatnonzero(
                         (hM > lj[slot]) & (active & ~passed)[slot] & (H > cur[slot]))
                     if cand.size:
-                        cs = slot[cand]
-                        firsts = np.ones(cand.size, bool)
-                        np.not_equal(cs[1:], cs[:-1], out=firsts[1:])
-                        cand, cs = cand[firsts], cs[firsts]
+                        cs, f, _ = _group_runs(slot[cand])
+                        cand = cand[f]
                         cur[cs] = cand
                         curT[cs] = 0.0
                         rem[cs], p[cs], x[cs] = hlen[cand], lj[cs] - hP[cand], hX[cand] - lj[cs]
                         passed[cs] = True
                     ps = np.flatnonzero(passed)
                     rws = idx[urows[ps]]
-                    u = unif.take(rws, 2)
-                    a, _ = _wald_split(p[ps], np.abs(x[ps]), sig2 * rem[ps], _normal(u[0]), u[1])
-                    curT[ps] += rem[ps] * a
+                    curT[ps] += rem[ps] * pieces.first_hit(p[ps], x[ps], sig2, rem[ps],
+                                                           unif.take(rws, 2))
                     gi, jp = cur[ps], j[ps]
                     s.tau[rws, jp] = t0[urows[ps]] + hs[gi] + curT[ps]
                     s.done[rws, jp] = True
@@ -356,49 +311,38 @@ def run_bridge(
                             cg[r, k] - before) * (hs[gi] - tgrid[k] + curT[ps])
                     j[ps] += 1
                     active &= passed & (j < nl)
-            # zeros and the infimum; each list of low pieces is in (row, time)
-            # order, so its last touch per row is a row's last entry
+            # zeros and the infimum, over each list of low pieces in its
+            # (row, time) order: each row's last touch of 0 after its last
+            # grid point at or below 0 ends at ``last``
             f = np.flatnonzero(near_lo)
             lr, lk = np.divmod(f, block)
             low_parts.insert(0, [lr, tgrid[lk], tgrid[lk + 1], P.ravel()[f], X.ravel()[f]])
-            cand = []  # per list: (list, index, row, end) of each row's last touch
-            for i, part in enumerate(low_parts):
+            last = np.full(R, -np.inf)
+            for part in low_parts:
                 lr, ls_, le, lP, lX = part
-                lm = 0.5 * (lP + lX - np.sqrt((lX - lP) ** 2 - 2.0 * sig2 * (le - ls_) * np.log1p(
-                    -unif.take(idx[lr]))))
-                part.append(lm)
-                t = np.flatnonzero((lm <= 0.0) & (le > tneg[lr]))
-                _, f, c = _group_runs(lr[t])
-                t = t[f + c - 1]
-                cand.append((np.full(t.size, i), t, lr[t], le[t]))
-            part_of, at, lr, le = (np.concatenate(c) for c in zip(*cand))
-            if len(cand) > 1:
-                order = np.lexsort((le, lr))
-                _, f, c = _group_runs(lr[order])
-                part_of, at, lr, le = (a[order[f + c - 1]] for a in (part_of, at, lr, le))
+                lm = pieces.piece_min(lP, lX, sig2, le - ls_, unif.take(idx[lr]))
+                touch = (lm <= 0.0) & (le > tneg[lr])
+                np.maximum.at(last, lr[touch], le[touch])
+                part += [lm, touch]
             # a grid point at or below 0, or a later touch, ends the wait of
             # a row's pending last zero: its step minimum counts as drawn
+            lt = np.flatnonzero(last > -np.inf)
             ends = np.zeros(R, bool)
-            ends[rz] = ends[lr] = True
+            ends[rz] = ends[lt] = True
             over = idx[ends]
             s.inf[over] = np.minimum(s.inf[over], zm[over])
             zm[over] = np.inf
-            s.g[idx[lr]] = t0[lr] + le
-            for i, part in enumerate(low_parts):
-                k = at[part_of == i]
+            s.g[idx[lt]] = t0[lt] + last[lt]
+            for lr, ls_, le, lP, lX, lm, touch in low_parts:
                 # the last touch of a block that ends above 0: its last zero
                 # is drawn once no later touch can replace it
-                pr_, ps_, pe_, pP_, pX_, pm_ = (a[k] for a in part)
-                e = np.flatnonzero(pX_ > 0.0)
-                rr = idx[pr_[e]]
-                zt[rr], zP[rr], zX[rr] = t0[pr_[e]] + ps_[e], pP_[e], pX_[e]
-                zlen[rr] = pe_[e] - ps_[e]
-                zm[rr] = pm_[e]
-                part[5][k[e]] = np.inf
-                rows_, first_, _ = _group_runs(part[0])
-                if rows_.size:
-                    rows_ = idx[rows_]
-                    s.inf[rows_] = np.minimum(s.inf[rows_], np.minimum.reduceat(part[5], first_))
+                e = np.flatnonzero(touch & (le == last[lr]) & (lX > 0.0))
+                rr = idx[lr[e]]
+                zt[rr], zP[rr], zX[rr] = t0[lr[e]] + ls_[e], lP[e], lX[e]
+                zlen[rr] = le[e] - ls_[e]
+                zm[rr] = lm[e]
+                lm[e] = np.inf
+                np.minimum.at(s.inf, idx[lr], lm)
             if want_gint:
                 s.gint_cum[idx] += h * cg[:, -1]
             s.x[idx] = X[:, -1]
@@ -416,23 +360,15 @@ def run_bridge(
         # the last zero in that piece, and its minimum from the bridge to it
         d = np.flatnonzero(zm < np.inf)
         u = unif.take(d, 3)
-        _, frac = _wald_split(zX[d], np.abs(zP[d]), sig2 * zlen[d], _normal(u[0]), u[1])
-        L = zlen[d] * frac
+        L = zlen[d] * pieces.last_visit(zP[d], zX[d], sig2, zlen[d], u[:2])
         s.g[d] = zt[d] + L
-        s.inf[d] = np.minimum(s.inf[d], 0.5 * (zP[d] - np.sqrt(
-            zP[d] ** 2 - 2.0 * sig2 * L * np.log1p(-u[2]))))
-        # strong Markov property at the stop: from x the future infimum is
-        # x - E with E ~ Exp(2 mu / sigma^2); the path returns to 0 iff
-        # x - E <= 0, after an inverse Gaussian hitting time (mean |x|/mu,
-        # shape x^2/sigma^2), and the last zero of a fresh path from 0 is
-        # Gamma(1/2, 2 sigma^2 / mu^2), that is sigma^2/mu^2 z^2
-        every = np.arange(rows)
-        e = -np.log1p(-unif.take(every)) * (0.5 * sig2 / mu_rate)
-        s.inf = np.minimum(s.inf, s.x - e)
-        ret = np.flatnonzero(e >= s.x)
-        xr = np.abs(s.x[ret])
+        s.inf[d] = np.minimum(s.inf[d], pieces.piece_min(zP[d], 0.0, sig2, L, u[2]))
+        # the future after the stop, at x at time t_stop (strong Markov property)
+        low = pieces.future_infimum(s.x, mu_rate, sig2, unif.take(np.arange(rows)))
+        s.inf = np.minimum(s.inf, low)
+        ret = np.flatnonzero(low <= 0.0)
         u = unif.take(ret, 3)
-        a, c = _wald_split(xr / sig, mu_rate / sig, 1.0, _normal(u[0]), u[1])
-        s.g[ret] = t_stop[ret] + a / c + sig2 / mu_rate**2 * _normal(u[2]) ** 2
+        s.g[ret] = (t_stop[ret] + pieces.return_time(s.x[ret], mu_rate, sig, u[:2])
+                    + pieces.fresh_last_zero(mu_rate, sig2, u[2]))
         s.store(out, lo, m, rank)
     return out

@@ -16,27 +16,20 @@ Scheme by family:
   discretisation error.
 * BrownianDrift (and BetaFamily(2), which is BrownianDrift(1, sqrt 2)):
   a skeleton of Gaussian steps, with every event drawn at its exact time
-  from the Brownian-bridge laws of the steps (Borodin & Salminen).  A
-  bridge over time h from distance p of a level to distance x of it (one
-  side) hits the level with probability exp(-2 p x / (sigma^2 h)), surely
-  across it, and then first at h s/(1 + s), s ~ Wald(p/x, p^2/(sigma^2 h));
-  read backwards, its last visit is at h/(1 + s) with p and x swapped.
-  The step minimum, 1/2 (P + X - sqrt((X - P)^2 - 2 sigma^2 h log U)),
-  gives the step's touch of 0 and the infimum, and the step maximum screens
-  the lowest pending level.  A level is passed in the first step whose
+  from the Brownian-bridge laws of the steps (``pieces`` holds the laws,
+  ``bridge`` the route and its constants).  The step minimum gives the
+  step's touch of 0 and the infimum, and the step maximum screens the
+  lowest pending level.  A level is passed in the first step whose
   maximum passes it; the levels above it follow one by one from the
   previous passage, over the rest of that step (the bridge is Markov), so
   every threshold is stamped exactly and tau is nondecreasing in the level.
   The last zero lies in a path's last touching step: its time is drawn
   once no later step can touch 0, and the step minimum then from the
   bridge from P to 0 over [0, L], which keeps g and the infimum jointly
-  exact (``bridge`` holds the route and its constants).  A step whose end
-  points lie further than sqrt(19 sigma^2 h) from a level (p x > 19
-  sigma^2 h) reaches it with probability below 2^-53: only steps within
-  reach of 0, of the lowest grid point, or of a pending level draw.  A
-  step within reach of both 0 and a pending level, ending after the last
-  grid point at or below 0, could hold both the last zero and a
-  passage; it is split at Gaussian bridge midpoints (the Levy
+  exact.  Only steps within reach of 0, of the lowest grid point, or of a
+  pending level draw.  A step within reach of both 0 and a pending level,
+  ending after the last grid point at or below 0, could hold both the
+  last zero and a passage; it is split at its bridge midpoints (the Levy
   construction) until no piece is, deciding from the points drawn so far
   only, for at most SPLIT_DEPTH halvings (a piece of h / 2^30 may keep
   both).  The step is a fixed share of the time scale sigma^2/mu^2
@@ -51,12 +44,9 @@ Scheme by family:
   at the end of the block in which it passes the top threshold (a block
   spans several mean path lengths, so a threshold path simulates about
   five times the steps it needs, which costs less than more blocks), and
-  its future is drawn exactly (strong Markov property at the fixed time t, at
-  x): with E ~ Exp(2 mu / sigma^2) the future infimum is x - E, the path
-  returns to 0 iff E >= x, the return takes an inverse Gaussian time with
-  mean |x|/mu and shape x^2/sigma^2, and the last zero after it adds
-  Gamma(1/2, scale 2 sigma^2 / mu^2).  So g carries no tail_eps bias, and
-  g, tau and the infimum are exact at any step.
+  its future (infimum, return to 0 and last zero) is drawn exactly by the
+  strong Markov property at the fixed time of the stop.  So g carries no
+  tail_eps bias, and g, tau and the infimum are exact at any step.
 * BetaFamily(beta < 2): compound-Poisson approximation on the grid, run
   to b.  Jumps larger than a cutoff are simulated exactly (rejection
   sampling from the jump law), smaller ones are replaced by a Brownian
@@ -105,6 +95,7 @@ from .batch import (
     BATCH,
     BLOCK,
     GROUP,
+    MAX_RESULT_BYTES,
     _Batch,
     _batch_gen,
     _block_cap,
@@ -112,6 +103,7 @@ from .batch import (
     _last_true,
     _levels,
     _outputs,
+    _Streams,
 )
 from .bridge import run_bridge
 from .models import CramerLundberg, LevyModel
@@ -268,32 +260,19 @@ def _run_grid(
     cap = _block_cap(steps, "steps", block)
     out = _outputs(cfg, start, a_arr.size)
     jgrid = np.arange(block)
-    # one generator per group slot of a batch, moved to each batch's group
-    # streams by setting its state, which is five times cheaper than a new one
-    gens = [_batch_gen(cfg.base_seed, 0) for _ in range(-(-min(cfg.n_paths, BATCH) // GROUP))]
-    fresh = gens[0].bit_generator.state
+    streams = _Streams(cfg)
     for lo, m in todo:
         ng = -(-m // GROUP)
         rows = ng * GROUP  # the last group's padding rows run too
-        for j in range(ng):
-            fresh["state"]["counter"] = np.array([0, 0, lo // GROUP + j, 0], np.uint64)
-            gens[j].bit_generator.state = fresh
+        streams.seat(lo, ng)
         s = _Batch(rows, rows, start, levels, cap, np.int64)
         while (idx := s.running()).size:
-            R = idx.size
-            # live rows of one group are contiguous; each group draws from
-            # its own stream, for its live rows only
-            live, gstart = np.unique(idx // GROUP, return_index=True)
-            gbound = np.append(gstart, R)
-            inc = np.empty((R, block))
-            for j, gi in enumerate(live):
-                gens[gi].standard_normal(out=inc[gbound[j] : gbound[j + 1]])
+            # each group draws from its own stream, for its live rows only
+            inc, groups = streams.normals(idx, block)
             inc *= sigstep
             inc += drift
-            for j, gi in enumerate(live):
-                inc[gbound[j] : gbound[j + 1]] += jumper(
-                    gens[gi], gbound[j + 1] - gbound[j], block
-                )
+            for gen, grp in groups:
+                inc[grp] += jumper(gen, grp.stop - grp.start, block)
             X = np.cumsum(inc, axis=1)
             X += s.x[idx, None]
             first = _first_passages(levels, np.maximum.accumulate(X, axis=1))
@@ -497,11 +476,17 @@ def simulate_paths(
     ``step``, by default ``run_step``'s, so ``cfg.dt``, ``infimum_mode``
     and ``exact_crossings`` change nothing there; the jump route steps in
     ``cfg.dt``, has no bridge law and refuses ``exact_crossings``.
-    ``start`` and the levels must be finite.
+    ``start`` and the levels must be finite.  A run whose result arrays
+    would take more than ``batch.MAX_RESULT_BYTES`` is refused before any
+    is built.
     """
+    a_arr = np.asarray(tuple(a_levels), float)
+    need = 8 * cfg.n_paths * (2 + 2 * a_arr.size)  # bytes of g, inf_depth, tau and gint
+    if need > MAX_RESULT_BYTES:
+        raise ValueError(f"{cfg.n_paths} paths with {a_arr.size} thresholds need {need:.3g} "
+                         f"bytes of results, over {MAX_RESULT_BYTES:.3g}")
     ev = ScaleEvaluator(model)
     b = resolve_barrier(ev, cfg.tail_eps)
-    a_arr = np.asarray(tuple(a_levels), float)
     if not (math.isfinite(start) and np.isfinite(a_arr).all()):
         raise ValueError("start and thresholds must be finite")
     if step is not None and not (math.isfinite(step) and step > 0):

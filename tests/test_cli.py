@@ -339,6 +339,16 @@ def test_simulate_refuses_runaway_claim_count(capsys):
         assert captured.out == "" and "claims per path" in captured.err
 
 
+def test_simulate_refuses_unbounded_paths(capsys):
+    # 10^12 paths would need 16 TB of results: refused before any is allocated
+    for quantity in ("expected-g", "mae", "pair-median"):
+        assert main(["simulate", "--model", "bm", "--quantity", quantity,
+                     "--paths", "1000000000000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "bytes of results" in captured.err
+        assert "Traceback" not in captured.err and captured.err.count("\n") == 1
+
+
 def test_simulate_non_finite_inputs_exit_2(capsys):
     for argv in (
         ["--model", "cl", "--a", "nan"],

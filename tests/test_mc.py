@@ -390,6 +390,39 @@ def test_event_and_jump_routes_unchanged():
             assert np.array_equal(arr, ref[f"{tag}_{key}"]), (tag, key)
 
 
+A_STAR_BM = 0.8391734950083061  # a* of BrownianDrift(1, 1)
+
+
+def brownian_runs():
+    """The Brownian-route runs whose arrays ``brownian_paths.npz`` holds, by
+    key prefix.  Each run's arrays can be regenerated on their own: save
+    ``simulate_paths(model, cfg, **kw)[key]`` under ``f"{tag}_{key}"``."""
+    cfg = McConfig(n_paths=300, base_seed=8)
+    return {
+        "bm_astar": (BM, cfg, dict(a_levels=(A_STAR_BM,))),
+        # 0.1 a* is within reach of 0, so steps near both are split
+        "bm_grid": (BM, cfg, dict(a_levels=tuple(A_STAR_BM * np.array([1.0, 0.1, 2.0, 0.5, 1.5])))),
+        "bm_none": (BM, cfg, {}),
+        "bm_step": (BM, cfg, dict(a_levels=(0.3, A_STAR_BM), step=0.04)),
+        "bm_none_step": (BM, cfg, dict(step=0.04)),
+        "bm_start_gint": (BM, McConfig(n_paths=100, base_seed=8),
+                          dict(start=-0.5, a_levels=(A_STAR_BM,), want_gint=True)),
+        "beta2": (BetaFamily(2.0), cfg, dict(a_levels=(0.4, 2.0 * A_STAR_BM))),
+        "bm_batches": (BM, McConfig(n_paths=1100, base_seed=9), dict(a_levels=(A_STAR_BM,))),
+    }
+
+
+def test_brownian_route_unchanged():
+    # the Brownian route (BM, and Beta(2) through its Brownian equivalent)
+    # draws and computes as it did when its bridge laws moved into
+    # ``lastzero.pieces``; the arrays were saved from the version before
+    ref = np.load(Path(__file__).parent / "data" / "brownian_paths.npz")
+    for tag, (model, cfg, kw) in brownian_runs().items():
+        res = simulate_paths(model, cfg, **kw)
+        for key, arr in res.items():
+            assert np.array_equal(arr, ref[f"{tag}_{key}"]), (tag, key)
+
+
 def test_pair_median_pairing():
     cfg = McConfig(n_paths=5, base_seed=1, dt=5e-3)
     med, sums = infimum_pair_sum_median(BM, cfg)
@@ -467,6 +500,27 @@ def test_simulation_guards():
     # one path gives no standard error, so the estimators refuse it
     with pytest.raises(ValueError):
         estimate_expected_g(CL, McConfig(n_paths=1, base_seed=1))
+
+
+def test_result_arrays_over_budget_refused_first(monkeypatch):
+    # the byte budget is checked before the batch list or any result array
+    # is built: 10^12 paths would need 16 TB of g and inf_depth alone
+    class Reached(Exception):
+        pass
+
+    def todo(*args):
+        raise Reached
+
+    monkeypatch.setattr(mc, "_todo", todo)
+    for model in (BM, CL, BetaFamily(1.5)):
+        with pytest.raises(ValueError, match="bytes of results"):
+            simulate_paths(model, McConfig(n_paths=10**12, base_seed=1))
+    # tau and gint count per threshold
+    most = mc.MAX_RESULT_BYTES // (8 * (2 + 2 * 3))
+    with pytest.raises(ValueError, match="bytes of results"):
+        simulate_paths(BM, McConfig(n_paths=most + 1, base_seed=1), a_levels=(0.1, 0.2, 0.3))
+    with pytest.raises(Reached):
+        simulate_paths(BM, McConfig(n_paths=most, base_seed=1), a_levels=(0.1, 0.2, 0.3))
 
 
 def test_unknown_model_rejected():

@@ -125,7 +125,6 @@ def run_bridge(
     a_arr: np.ndarray,
     mu_rate: float,
     sig: float,
-    want_gint: bool,
     step: float,
     todo,
 ):
@@ -217,15 +216,6 @@ def run_bridge(
                 below = top > levels[0] if nl == 1 else np.searchsorted(levels, top)
                 plo = pending[np.maximum(done0[rh, None], below)]
                 near_hi = np.maximum(P[rh], X[rh]) > plo - reach  # rows rh
-            if want_gint:
-                # left Riemann sums, in steps, of the gain 2 F - 1 at each
-                # step's start: F(x) = 1 - exp(-2 mu x / sigma^2) above 0
-                cg = np.maximum(P, 0.0)
-                cg *= -2.0 * mu_rate / sig2
-                np.expm1(cg, out=cg)
-                cg *= -2.0
-                cg -= 1.0
-                np.cumsum(cg, axis=1, out=cg)
             # pieces (row, start, end, P, X): near a pending level in (row,
             # time) order, and near 0 or the lowest point
             low_parts = []
@@ -250,7 +240,7 @@ def run_bridge(
                     was[shared] = True
                     count = np.bincount(par, minlength=hr.size) + ~was
                     slots = np.repeat(was, count)
-                    hr, hk, hplo = (np.repeat(a, count) for a in (hr, hk, hplo))
+                    hr, hplo = (np.repeat(a, count) for a in (hr, hplo))
                     hs, he, hP, hX = (np.repeat(a, count) for a in (hs, he, hP, hX))
                     for col, new in zip((hs, he, hP, hX), (ps_, pe_, pP_, pX_)):
                         col[slots] = new
@@ -259,7 +249,7 @@ def run_bridge(
                 # a piece whose maximum stays below that level passes none
                 hM = pieces.piece_max(hP, hX, sig2, hlen, unif.take(idx[hr]))
                 keep = np.flatnonzero(hM > hplo)
-                hr, hk, hs, hlen, hP, hX, hM = (a[keep] for a in (hr, hk, hs, hlen, hP, hX, hM))
+                hr, hs, hlen, hP, hX, hM = (a[keep] for a in (hr, hs, hlen, hP, hX, hM))
                 urows, _, ucnt = _group_runs(hr)
                 slot = np.repeat(np.arange(urows.size), ucnt)
                 cur = np.full(urows.size, -1)
@@ -303,12 +293,6 @@ def run_bridge(
                     gi, jp = cur[ps], j[ps]
                     s.tau[rws, jp] = t0[urows[ps]] + hs[gi] + curT[ps]
                     s.done[rws, jp] = True
-                    if want_gint:
-                        # the sum up to the passage step, closed at the passage
-                        r, k = urows[ps], hk[gi]
-                        before = np.where(k > 0, cg[r, np.maximum(k - 1, 0)], 0.0)
-                        s.gint[rws, jp] = s.gint_cum[rws] + h * before + (
-                            cg[r, k] - before) * (hs[gi] - tgrid[k] + curT[ps])
                     j[ps] += 1
                     active &= passed & (j < nl)
             # zeros and the infimum, over each list of low pieces in its
@@ -343,8 +327,6 @@ def run_bridge(
                 zm[rr] = lm[e]
                 lm[e] = np.inf
                 np.minimum.at(s.inf, idx[lr], lm)
-            if want_gint:
-                s.gint_cum[idx] += h * cg[:, -1]
             s.x[idx] = X[:, -1]
             s.clock[idx] += block
             if with_levels:

@@ -11,7 +11,7 @@ timestamps or environment data are included, so a rerun with the same
 arguments produces byte-identical output.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid usage or
-parameters, 3 numerical failure.
+parameters or too little memory, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -265,7 +265,7 @@ def _cmd_simulate(args) -> int:
     else:
         reports = [_pair_median(model, cfg)]
     # Brownian runs take their own step: the dt column reports it
-    step = run_step(model, cfg, quantity in ("mae", "passage", "value"), quantity == "value")
+    step = run_step(model, cfg, quantity in ("mae", "passage", "value"))
     rows = [
         (*(getattr(r, f) for f in _SIM_HEADER[:-2]), step, cfg.tail_eps)
         for r in reports
@@ -446,6 +446,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

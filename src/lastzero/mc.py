@@ -33,10 +33,12 @@ Scheme by family:
   construction) until no piece is, deciding from the points drawn so far
   only, for at most SPLIT_DEPTH halvings (a piece of h / 2^30 may keep
   both).  The step is a fixed share of the time scale sigma^2/mu^2
-  (``run_step``: INFIMUM_STEP without thresholds, THRESHOLD_STEP with,
-  GAIN_STEP for gain integrals, which stay a left Riemann sum closed at
-  the passage), so every Brownian model takes as many steps; an explicit
-  ``step`` of ``simulate_paths`` or ``sample_infimum`` replaces it.  A
+  (``run_step``: INFIMUM_STEP without thresholds, THRESHOLD_STEP with),
+  so every Brownian model takes as many steps; an explicit ``step`` of
+  ``simulate_paths`` or ``sample_infimum`` replaces it.  As
+  E|g - tau| = E(g) + E int_0^tau (2F(X_s) - 1) ds for every stopping
+  time (du Toit, Peskir & Shiryaev 2008), a path's gint is |g - tau| - g:
+  the gain integral in mean, not path by path.  A
   block spans BLOCK_SPAN mean path lengths, in [BLOCK_MIN, BLOCK] steps, and
   doubles every BLOCK_GROW blocks, up to eight times, so that the few slow
   paths take few blocks (its length depends on its index only).  A path
@@ -135,12 +137,9 @@ __all__ = [
 EVENT_BLOCK = 64  # jump events drawn per block (CramerLundberg)
 BETA_JUMP_CUTOFF = 1e-2  # |y| below this is folded into the Gaussian proxy
 # bridge-route steps in units of the model's time scale sigma^2/mu^2, so that
-# every Brownian model takes as many steps: runs without thresholds, with
-# thresholds, and with gain integrals (a left Riemann sum, the one quantity
-# that the step still biases)
+# every Brownian model takes as many steps: runs without thresholds and with
 INFIMUM_STEP = 8.0
 THRESHOLD_STEP = 0.125
-GAIN_STEP = 1e-3
 
 
 def _is_int(v) -> bool:
@@ -194,7 +193,8 @@ class McReport:
 
 @dataclass(frozen=True)
 class PathEvents:
-    """Per-path functionals extracted by the engine."""
+    """Per-path functionals extracted by the engine; on the Brownian route
+    gint is |g - tau| - g, the gain integral in mean, not path by path."""
 
     g: float
     tau: tuple[float, ...]
@@ -474,11 +474,12 @@ def simulate_paths(
 
     The Brownian route draws every event from the bridge laws at the step
     ``step``, by default ``run_step``'s, so ``cfg.dt``, ``infimum_mode``
-    and ``exact_crossings`` change nothing there; the jump route steps in
-    ``cfg.dt``, has no bridge law and refuses ``exact_crossings``.
-    ``start`` and the levels must be finite.  A run whose result arrays
-    would take more than ``batch.MAX_RESULT_BYTES`` is refused before any
-    is built.
+    and ``exact_crossings`` change nothing there, and its gint is
+    |g - tau| - g, the gain integral in mean, not path by path.  The jump
+    route steps in ``cfg.dt``, has no bridge law and refuses
+    ``exact_crossings``.  ``start`` and the levels must be finite.  A run
+    whose result arrays would take more than ``batch.MAX_RESULT_BYTES`` is
+    refused before any is built.
     """
     a_arr = np.asarray(tuple(a_levels), float)
     need = 8 * cfg.n_paths * (2 + 2 * a_arr.size)  # bytes of g, inf_depth, tau and gint
@@ -505,8 +506,13 @@ def simulate_paths(
     equiv = model.brownian_equivalent()
     if equiv is not None:
         if step is None:
-            step = run_step(model, cfg, a_arr.size > 0, want_gint)
-        return run_bridge(cfg, start, b, a_arr, equiv.mu, equiv.sigma, want_gint, step, todo)
+            step = run_step(model, cfg, a_arr.size > 0)
+        out = run_bridge(cfg, start, b, a_arr, equiv.mu, equiv.sigma, step, todo)
+        if want_gint:
+            g, gint = out["g"][:, None], out["gint"]
+            np.abs(np.subtract(g, out["tau"], out=gint), out=gint)
+            gint -= g
+        return out
     if exact_crossings:
         raise ValueError("exact_crossings requires a jump-free diffusion route")
     # BetaFamily(beta < 2)
@@ -515,17 +521,15 @@ def simulate_paths(
                      _beta_jumper(model.beta, cfg.dt), want_gint, todo)
 
 
-def run_step(model: LevyModel, cfg: McConfig, levels: bool = False,
-             want_gint: bool = False) -> float:
+def run_step(model: LevyModel, cfg: McConfig, levels: bool = False) -> float:
     """The step a run of ``model`` takes.  On the Brownian route it is a
-    fixed share of the model's time scale sigma^2/mu^2: GAIN_STEP for runs
-    that integrate the gain, THRESHOLD_STEP for runs with thresholds and
-    INFIMUM_STEP for runs without.  Elsewhere it is ``cfg.dt`` (which the
-    exact CramerLundberg engine does not use)."""
+    fixed share of the model's time scale sigma^2/mu^2: THRESHOLD_STEP for
+    runs with thresholds and INFIMUM_STEP for runs without.  Elsewhere it
+    is ``cfg.dt`` (which the exact CramerLundberg engine does not use)."""
     equiv = model.brownian_equivalent()
     if equiv is None:
         return cfg.dt
-    share = GAIN_STEP if want_gint else THRESHOLD_STEP if levels else INFIMUM_STEP
+    share = THRESHOLD_STEP if levels else INFIMUM_STEP
     return share * (equiv.sigma / equiv.mu) ** 2
 
 

@@ -4,7 +4,9 @@
 end points, variances, lengths and uniforms; ``lastzero.bridge`` runs the
 block loop and its bookkeeping and calls the kernel for every law.  A new
 law goes into the kernel, where its unit test (``tests/test_pieces.py``)
-can reach it, instead of being written out inside the block loop.
+can reach it, instead of being written out inside the block loop.  The
+route keeps no gain code either: ``mc.simulate_paths`` takes a path's gain
+integral as |g - tau| - g from the route's results.
 """
 
 import ast
@@ -43,3 +45,11 @@ def test_kernel_draws_nothing():
     calls = {n.func.attr for n in ast.walk(_tree("pieces.py"))
              if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)}
     assert not calls & DRAWS
+
+
+def test_bridge_keeps_no_gain_code():
+    tree = _tree("bridge.py")
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    names |= {n.arg for n in ast.walk(tree) if isinstance(n, ast.arg)}
+    assert not names & {"gint", "gint_cum", "want_gint"}

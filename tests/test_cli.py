@@ -7,6 +7,7 @@ import time
 import pytest
 from scipy import integrate
 
+from lastzero import cli
 from lastzero.cli import main
 from lastzero.convolution import conv_analytic
 from lastzero.mc import INFIMUM_STEP, THRESHOLD_STEP
@@ -277,10 +278,10 @@ def test_simulate_pair_median(capsys):
 
 def test_simulate_pair_median_reports_its_step(capsys):
     # Brownian runs take a share of sigma^2/mu^2 whatever --dt is (INFIMUM_STEP
-    # without thresholds, THRESHOLD_STEP with), and the dt column says so;
-    # the other routes run at --dt
+    # without thresholds, THRESHOLD_STEP with, value runs included), and the
+    # dt column says so; the other routes run at --dt
     for quantity, share in (("pair-median", INFIMUM_STEP), ("expected-g", INFIMUM_STEP),
-                            ("mae", THRESHOLD_STEP)):
+                            ("mae", THRESHOLD_STEP), ("value", THRESHOLD_STEP)):
         for model, step in (
             (("--model", "bm", "--mu", "0.5"), 4.0 * share),
             (("--model", "beta"), 2.0 * share),
@@ -292,6 +293,23 @@ def test_simulate_pair_median_reports_its_step(capsys):
             )
             assert rc == 0
             assert float(csv_rows(out)[1][0]["dt"]) == pytest.approx(step, rel=1e-12)
+
+
+@pytest.mark.parametrize("command", ["solve", "curve", "simulate", "verify"])
+@pytest.mark.parametrize("exc", [MemoryError(), MemoryError("Unable to allocate 458. MiB")],
+                         ids=["bare", "numpy"])
+def test_memory_error_exits_2_with_one_line(capsys, monkeypatch, command, exc):
+    # a run inside the result budget can still exhaust a small address space;
+    # here the model builder raises, so the test allocates nothing
+    def exhausted(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "_build_model", exhausted)
+    assert main([command, "--model", "bm"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
 
 
 def test_simulate_pair_median_refuses_fewer_than_two_pairs(capsys):

@@ -349,13 +349,44 @@ def test_brownian_events_unbiased_at_any_scale(mu):
 
 
 def test_value_unbiased_at_steep_drift():
-    # the gain integral's step is a share of sigma^2/mu^2, so its bias is
-    # that of BM(1, 1) at every scale (a step of 1e-3 was -409 standard
-    # errors off at BM(30, 1) and 2e5 paths)
+    # gint = |g - tau| - g carries no step bias at any scale (a left Riemann
+    # sum at a step of 1e-3 was -409 standard errors off at BM(30, 1) and
+    # 2e5 paths)
     model = BrownianDrift(30.0, 1.0)
     ev, rule = solve(model)
     rep = estimate_value(model, McConfig(n_paths=20_000, base_seed=30), rule.a_star)
     assert abs(rep.estimate - V_at(ev, rule, 0.0)) <= 4.0 * rep.std_error
+
+
+def test_value_unbiased_over_starts_and_levels():
+    # E|g - tau_a| = E(g) + V_a(x) from every start x and at every level a,
+    # so the mean of |g - tau_a| - g is V_a(x), which is 0 for x >= a
+    for i, (model, x, factors) in enumerate((
+        (BM, -0.5, (0.1, 1.0, 2.0)),
+        (BM, 0.0, (0.1, 1.0, 2.0)),
+        (BM, 0.5 * A_STAR_BM, (0.1, 1.0, 2.0)),
+        (BetaFamily(2.0), 0.0, (1.0,)),
+    )):
+        ev, rule = solve(model)
+        levels = rule.a_star * np.array(factors)
+        res = simulate_paths(model, McConfig(n_paths=50_000, base_seed=40 + i), start=x,
+                             a_levels=levels, want_gint=True)
+        for a, v in zip(levels, res["gint"].T):
+            se = v.std(ddof=1) / math.sqrt(v.size)
+            assert abs(v.mean() - V_a_at(ev, rule.table, a, x)) <= 4.0 * se, (i, a)
+
+
+def test_value_run_takes_the_threshold_skeleton():
+    # a value run draws the paths of the same threshold run, and its gint
+    # is |g - tau| - g of them
+    cfg = McConfig(n_paths=300, base_seed=8)
+    kw = dict(start=-0.5, a_levels=tuple(A_STAR_BM * np.array([0.1, 1.0, 2.0])))
+    res = simulate_paths(BM, cfg, want_gint=True, **kw)
+    ref = simulate_paths(BM, cfg, **kw)
+    for key in ("g", "tau", "inf_depth"):
+        assert np.array_equal(res[key], ref[key]), key
+    g = res["g"][:, None]
+    assert np.array_equal(res["gint"], np.abs(g - res["tau"]) - g)
 
 
 def test_small_threshold_mean_abs_error():
@@ -396,7 +427,9 @@ A_STAR_BM = 0.8391734950083061  # a* of BrownianDrift(1, 1)
 def brownian_runs():
     """The Brownian-route runs whose arrays ``brownian_paths.npz`` holds, by
     key prefix.  Each run's arrays can be regenerated on their own: save
-    ``simulate_paths(model, cfg, **kw)[key]`` under ``f"{tag}_{key}"``."""
+    ``simulate_paths(model, cfg, **kw)[key]`` under ``f"{tag}_{key}"``.
+    The ``bm_start_gint`` arrays were saved again when a value run came to
+    take the threshold run's step and gint = |g - tau| - g."""
     cfg = McConfig(n_paths=300, base_seed=8)
     return {
         "bm_astar": (BM, cfg, dict(a_levels=(A_STAR_BM,))),

@@ -135,7 +135,7 @@ def run_bridge(
     sig2 = sig * sig
     reach = pieces.reach(sig2, h)
     with_levels = a_arr.size > 0
-    # without thresholds paths stop at their first grid point above b
+    # without thresholds the top level is b
     levels, rank = _levels(a_arr, b, not with_levels)
     nl = levels.size
     pending = np.append(levels, np.inf)  # lowest pending level by done count
@@ -156,12 +156,6 @@ def run_bridge(
             key=cfg.base_seed, counter=[0, 0, lo // BATCH, 1])).random((BATCH // GROUP, RESERVE))
         unif = _Pool(streams.gens, first[g0 : g0 + ng])
         s = _Batch(rows, rows, start, levels, cap, np.int64, closed=True)
-        t_stop = np.zeros(rows)
-        # per row, the piece of its latest touch of 0 that ends above 0: its
-        # start time zt, end points zP, zX, length zlen, and drawn minimum zm
-        # (inf if none)
-        zt, zP, zX, zlen = np.zeros((4, rows))
-        zm = np.full(rows, np.inf)
         while (idx := s.running()).size:
             R = idx.size
             # the few paths still running after BLOCK_GROW blocks take ever
@@ -176,13 +170,6 @@ def run_bridge(
             P = np.empty_like(X)
             P[:, 0] = s.x[idx]
             P[:, 1:] = X[:, :-1]
-            if not with_levels:
-                # rows stop at their first grid point above b, step kstop
-                stop = np.flatnonzero(X.max(axis=1) > b)
-                kstop = np.argmax(X[stop] > b, axis=1)
-                cut = np.arange(block) > kstop[:, None]  # the steps after the stop
-                P[stop] = np.where(cut, np.inf, P[stop])
-                X[stop] = np.where(cut, np.inf, X[stop])
             t0 = s.clock[idx] * h
             # the last grid point at or below 0, kz of rows rz, at time tneg
             # (-1 if none): no step before it holds the last zero
@@ -296,8 +283,8 @@ def run_bridge(
                     j[ps] += 1
                     active &= passed & (j < nl)
             # zeros and the infimum, over each list of low pieces in its
-            # (row, time) order: each row's last touch of 0 after its last
-            # grid point at or below 0 ends at ``last``
+            # (row, time) order: each row's last touch of 0 in the block after
+            # its last grid point at or below 0 ends at ``last``
             f = np.flatnonzero(near_lo)
             lr, lk = np.divmod(f, block)
             low_parts.insert(0, [lr, tgrid[lk], tgrid[lk + 1], P.ravel()[f], X.ravel()[f]])
@@ -308,49 +295,29 @@ def run_bridge(
                 touch = (lm <= 0.0) & (le > tneg[lr])
                 np.maximum.at(last, lr[touch], le[touch])
                 part += [lm, touch]
-            # a grid point at or below 0, or a later touch, ends the wait of
-            # a row's pending last zero: its step minimum counts as drawn
-            lt = np.flatnonzero(last > -np.inf)
-            ends = np.zeros(R, bool)
-            ends[rz] = ends[lt] = True
-            over = idx[ends]
-            s.inf[over] = np.minimum(s.inf[over], zm[over])
-            zm[over] = np.inf
-            s.g[idx[lt]] = t0[lt] + last[lt]
             for lr, ls_, le, lP, lX, lm, touch in low_parts:
-                # the last touch of a block that ends above 0: its last zero
-                # is drawn once no later touch can replace it
-                e = np.flatnonzero(touch & (le == last[lr]) & (lX > 0.0))
-                rr = idx[lr[e]]
-                zt[rr], zP[rr], zX[rr] = t0[lr[e]] + ls_[e], lP[e], lX[e]
-                zlen[rr] = le[e] - ls_[e]
-                zm[rr] = lm[e]
-                lm[e] = np.inf
+                # each row's last touch in the block ends above 0 (a point at
+                # or below 0 moves tneg): its last zero L, and its minimum from
+                # the bridge from P to 0 over [0, L]; a later touch replaces g
+                e = np.flatnonzero(touch & (le == last[lr]))
+                er, tlen = lr[e], le[e] - ls_[e]
+                u = unif.take(idx[er], 3)
+                L = tlen * pieces.last_visit(lP[e], lX[e], sig2, tlen, u[:2])
+                s.g[idx[er]] = t0[er] + ls_[e] + L
+                lm[e] = pieces.piece_min(lP[e], 0.0, sig2, L, u[2])
                 np.minimum.at(s.inf, idx[lr], lm)
             s.x[idx] = X[:, -1]
             s.clock[idx] += block
-            if with_levels:
-                # past the top level the path goes on from the block's end:
-                # the decisions above read the block's later grid points
-                rs = idx[s.done[idx, -1]]
-                t_stop[rs] = s.clock[rs] * h
-            else:
-                rs = idx[stop]
-                s.x[rs] = X[stop, kstop]
-                t_stop[rs] = t0[stop] + tgrid[kstop + 1]
-            s.alive[rs] = False
-        # the last zero in that piece, and its minimum from the bridge to it
-        d = np.flatnonzero(zm < np.inf)
-        u = unif.take(d, 3)
-        L = zlen[d] * pieces.last_visit(zP[d], zX[d], sig2, zlen[d], u[:2])
-        s.g[d] = zt[d] + L
-        s.inf[d] = np.minimum(s.inf[d], pieces.piece_min(zP[d], 0.0, sig2, L, u[2]))
-        # the future after the stop, at x at time t_stop (strong Markov property)
+            # a row stops at the end of the block in which it passes its top
+            # level (without thresholds, in which a grid point passes b): a
+            # fixed time, decided by the path up to it
+            s.alive[idx[s.done[idx, -1] | (X.max(axis=1) > levels[-1])]] = False
+        # the future after the stop, from x at time clock h (strong Markov property)
         low = pieces.future_infimum(s.x, mu_rate, sig2, unif.take(np.arange(rows)))
         s.inf = np.minimum(s.inf, low)
         ret = np.flatnonzero(low <= 0.0)
         u = unif.take(ret, 3)
-        s.g[ret] = (t_stop[ret] + pieces.return_time(s.x[ret], mu_rate, sig, u[:2])
+        s.g[ret] = (s.clock[ret] * h + pieces.return_time(s.x[ret], mu_rate, sig, u[:2])
                     + pieces.fresh_last_zero(mu_rate, sig2, u[2]))
         s.store(out, lo, m, rank)
     return out

@@ -23,13 +23,13 @@ Scheme by family:
   maximum passes it; the levels above it follow one by one from the
   previous passage, over the rest of that step (the bridge is Markov), so
   every threshold is stamped exactly and tau is nondecreasing in the level.
-  The last zero lies in a path's last touching step: its time is drawn
-  once no later step can touch 0, and the step minimum then from the
-  bridge from P to 0 over [0, L], which keeps g and the infimum jointly
-  exact.  Only steps within reach of 0, of the lowest grid point, or of a
-  pending level draw.  A step within reach of both 0 and a pending level,
-  ending after the last grid point at or below 0, could hold both the
-  last zero and a passage; it is split at its bridge midpoints (the Levy
+  The last zero of a block lies in its last touching step: its time L is
+  drawn there, and the step minimum from the bridge from P to 0 over
+  [0, L], which keeps g and the infimum jointly exact; a touch in a later
+  block replaces g.  Only steps within reach of 0, of the lowest grid
+  point, or of a pending level draw.  A step within reach of both 0 and a
+  pending level, ending after the last grid point at or below 0, could
+  hold both the last zero and a passage; it is split at its bridge midpoints (the Levy
   construction) until no piece is, deciding from the points drawn so far
   only, for at most SPLIT_DEPTH halvings (a piece of h / 2^30 may keep
   both).  The step is a fixed share of the time scale sigma^2/mu^2
@@ -41,13 +41,14 @@ Scheme by family:
   the gain integral in mean, not path by path.  A
   block spans BLOCK_SPAN mean path lengths, in [BLOCK_MIN, BLOCK] steps, and
   doubles every BLOCK_GROW blocks, up to eight times, so that the few slow
-  paths take few blocks (its length depends on its index only).  A path
-  stops at its first grid point above b when there are no thresholds, else
-  at the end of the block in which it passes the top threshold (a block
-  spans several mean path lengths, so a threshold path simulates about
-  five times the steps it needs, which costs less than more blocks), and
-  its future (infimum, return to 0 and last zero) is drawn exactly by the
-  strong Markov property at the fixed time of the stop.  So g carries no
+  paths take few blocks (its length depends on its index only).  Every
+  path stops at the end of the block in which it passes its top level
+  (b when there are no thresholds, where a grid point above b marks the
+  passage): a fixed time, decided by the path up to it.  A block spans
+  several mean path lengths, so a threshold path simulates about five
+  times the steps it needs, which costs less than more blocks.  The
+  future after the stop (infimum, return to 0 and last zero) is drawn
+  exactly by the strong Markov property.  So g carries no
   tail_eps bias, and g, tau and the infimum are exact at any step.
 * BetaFamily(beta < 2): compound-Poisson approximation on the grid, run
   to b.  Jumps larger than a cutoff are simulated exactly (rejection
@@ -85,7 +86,6 @@ batch on the event engine).
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -120,7 +120,6 @@ __all__ = [
     "resolve_barrier",
     "simulate_paths",
     "sample_path_events",
-    "infimum_config",
     "run_step",
     "sample_infimum",
     "infimum_pair_sum_median",
@@ -239,6 +238,7 @@ def _todo(n: int, batch_filter, by_group: bool) -> list[tuple[int, int]]:
 
 def _run_grid(
     cfg: McConfig,
+    dt: float,
     start: float,
     b: float,
     a_arr: np.ndarray,
@@ -249,9 +249,8 @@ def _run_grid(
     want_gint: bool,
     todo,
 ):
-    """Compound-Poisson approximation on a grid of ``cfg.dt`` steps, run to
+    """Compound-Poisson approximation on a grid of ``dt`` steps, run to
     b; events are read off the grid points (see the module docstring)."""
-    dt = cfg.dt
     levels, rank = _levels(a_arr, b, True)
     drift = mu_rate * dt
     sigstep = sig * math.sqrt(dt)
@@ -476,10 +475,10 @@ def simulate_paths(
     ``step``, by default ``run_step``'s, so ``cfg.dt``, ``infimum_mode``
     and ``exact_crossings`` change nothing there, and its gint is
     |g - tau| - g, the gain integral in mean, not path by path.  The jump
-    route steps in ``cfg.dt``, has no bridge law and refuses
-    ``exact_crossings``.  ``start`` and the levels must be finite.  A run
-    whose result arrays would take more than ``batch.MAX_RESULT_BYTES`` is
-    refused before any is built.
+    route steps in ``step``, by default ``cfg.dt``, has no bridge law and
+    refuses ``exact_crossings``.  ``start`` and the levels must be finite.
+    A run whose result arrays would take more than ``batch.MAX_RESULT_BYTES``
+    is refused before any is built.
     """
     a_arr = np.asarray(tuple(a_levels), float)
     need = 8 * cfg.n_paths * (2 + 2 * a_arr.size)  # bytes of g, inf_depth, tau and gint
@@ -517,8 +516,9 @@ def simulate_paths(
         raise ValueError("exact_crossings requires a jump-free diffusion route")
     # BetaFamily(beta < 2)
     _, _, var_small, mu_eff = beta_jump_params(model.beta)
-    return _run_grid(cfg, start, b, a_arr, mu_eff, math.sqrt(var_small), ev.gain,
-                     _beta_jumper(model.beta, cfg.dt), want_gint, todo)
+    dt = cfg.dt if step is None else step
+    return _run_grid(cfg, dt, start, b, a_arr, mu_eff, math.sqrt(var_small), ev.gain,
+                     _beta_jumper(model.beta, dt), want_gint, todo)
 
 
 def run_step(model: LevyModel, cfg: McConfig, levels: bool = False) -> float:
@@ -645,27 +645,18 @@ def estimate_laplace_g(
     return _mean_report("laplace_g", np.exp(-q * res["g"]), cfg, q=float(q))
 
 
-def infimum_config(model: LevyModel, cfg: McConfig, step: float | None = None) -> McConfig:
-    """``cfg`` with the step ``sample_infimum`` runs at as its ``dt``:
-    ``step`` when given, else ``run_step``'s for a run without thresholds
-    (``cfg.dt`` off the Brownian route; the CramerLundberg engine has no
-    step)."""
-    return dataclasses.replace(cfg, dt=run_step(model, cfg) if step is None else step)
-
-
 def sample_infimum(model: LevyModel, cfg: McConfig, step: float | None = None) -> np.ndarray:
     """Sampled depths of the all-time infimum, one per path.
 
     An explicit ``step`` replaces the grid step of either route.  On the
     Brownian route the step minima come from the exact bridge law, a path
-    stops at its first grid point above b, and the infimum after it is
-    drawn exactly, so the coarse default step of ``run_step`` is exact too.
+    stops at the end of the block in which a grid point passes b, and the
+    infimum after it is drawn exactly, so the coarse default step of
+    ``run_step`` is exact too.
     CramerLundberg infima are exact up to the barrier passage, which bounds
     their cutoff bias by tail_eps.
     """
-    cfg = infimum_config(model, cfg, step)
-    res = simulate_paths(model, cfg, infimum_mode=True, step=cfg.dt)
-    return res["inf_depth"]
+    return simulate_paths(model, cfg, infimum_mode=True, step=step)["inf_depth"]
 
 
 def infimum_pair_sum_median(

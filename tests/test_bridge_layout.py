@@ -53,3 +53,11 @@ def test_bridge_keeps_no_gain_code():
     names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
     names |= {n.arg for n in ast.walk(tree) if isinstance(n, ast.arg)}
     assert not names & {"gint", "gint_cum", "want_gint"}
+
+
+def test_bridge_has_one_stop_rule_and_no_carried_last_zero():
+    # every run stops at the end of the block in which it passes its top
+    # level, and each block draws its last zero at once: no stop step, no
+    # stop time and no last-zero piece kept from one block to the next
+    names = {n.id for n in ast.walk(_tree("bridge.py")) if isinstance(n, ast.Name)}
+    assert not names & {"zt", "zm", "zlen", "t_stop", "kstop"}

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -286,7 +287,6 @@ def test_explicit_infimum_step_is_honoured():
     # an explicit step replaces the Brownian route's default one, and the
     # bridge laws keep the infimum exact at it
     cfg = McConfig(n_paths=4096, base_seed=23)
-    assert mc.infimum_config(BM, cfg, step=0.04).dt == 0.04
     fine = sample_infimum(BM, cfg, step=0.04)
     assert np.array_equal(fine, simulate_paths(BM, cfg, step=0.04)["inf_depth"])
     assert not np.array_equal(fine, sample_infimum(BM, cfg))
@@ -294,6 +294,11 @@ def test_explicit_infimum_step_is_honoured():
     assert d < ks_critical(fine.size)
     with pytest.raises(ValueError):
         simulate_paths(BM, cfg, step=0.0)
+    # the jump route takes it as its grid step
+    beta = BetaFamily(1.5)
+    cfg = replace(cfg, n_paths=40)
+    assert np.array_equal(sample_infimum(beta, cfg, step=1e-2),
+                          simulate_paths(beta, replace(cfg, dt=1e-2))["inf_depth"])
 
 
 def test_infimum_cost_independent_of_scale(monkeypatch):
@@ -400,6 +405,24 @@ def test_small_threshold_mean_abs_error():
     assert abs(rep.estimate - target) <= 4.0 * rep.std_error
 
 
+@pytest.mark.parametrize("model, factors, seed", [
+    (BM, (1.0, 2.0), 44), (BetaFamily(2.0), (1.0,), 45)])
+def test_creeping_identities_brownian(model, factors, seed):
+    # X(tau_a) = a, so the path after tau_a is a fresh path from a:
+    # P(g < tau_a) = F(a) and E(g - tau_a)+ = E_a(g).  Together they check
+    # the joint law of g and tau across the stop at a block's end and the
+    # last zero drawn in its block
+    ev, rule = solve(model)
+    levels = rule.a_star * np.array(factors)
+    n = 200_000
+    res = simulate_paths(model, McConfig(n_paths=n, base_seed=seed), a_levels=levels)
+    for a, tau in zip(levels, res["tau"].T):
+        for vals, want in ((res["g"] < tau, ev.inf_cdf(a)),
+                           (np.maximum(res["g"] - tau, 0.0),
+                            expected_g(model.brownian_equivalent(), a))):
+            assert abs(vals.mean() - want) <= 4.0 * vals.std(ddof=1) / math.sqrt(n), a
+
+
 def test_event_and_jump_routes_unchanged():
     # the CramerLundberg engine and the Beta jump route draw and compute as
     # they did before the Brownian route stamped events exactly; the arrays
@@ -428,8 +451,9 @@ def brownian_runs():
     """The Brownian-route runs whose arrays ``brownian_paths.npz`` holds, by
     key prefix.  Each run's arrays can be regenerated on their own: save
     ``simulate_paths(model, cfg, **kw)[key]`` under ``f"{tag}_{key}"``.
-    The ``bm_start_gint`` arrays were saved again when a value run came to
-    take the threshold run's step and gint = |g - tau| - g."""
+    All 32 arrays were saved again when every run came to stop at the end
+    of the block in which it passes its top level, and each block's last
+    zero came to be drawn in that block."""
     cfg = McConfig(n_paths=300, base_seed=8)
     return {
         "bm_astar": (BM, cfg, dict(a_levels=(A_STAR_BM,))),
@@ -447,8 +471,8 @@ def brownian_runs():
 
 def test_brownian_route_unchanged():
     # the Brownian route (BM, and Beta(2) through its Brownian equivalent)
-    # draws and computes as it did when its bridge laws moved into
-    # ``lastzero.pieces``; the arrays were saved from the version before
+    # draws and computes as it did when the arrays were saved (see
+    # ``brownian_runs``)
     ref = np.load(Path(__file__).parent / "data" / "brownian_paths.npz")
     for tag, (model, cfg, kw) in brownian_runs().items():
         res = simulate_paths(model, cfg, **kw)
